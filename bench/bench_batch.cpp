@@ -100,8 +100,8 @@ SweepPair run_pair(std::vector<sweep::Scenario> scenarios) {
   return p;
 }
 
-/// Machine-level lane speedup: N serial CgraMachines vs one N-lane batched
-/// machine, same kernel, same per-lane bus, no loop machinery around it.
+/// Machine-level lane speedup: N one-lane engines vs one N-lane engine,
+/// same kernel, same per-lane bus, no loop machinery around it.
 double machine_level_speedup(int iterations) {
   cgra::BeamKernelConfig kc = paper_turn_config(true).kernel;
   const cgra::CompiledKernel kernel = cgra::compile_kernel(
@@ -111,9 +111,10 @@ double machine_level_speedup(int iterations) {
 
   using Clock = std::chrono::steady_clock;
 
-  std::vector<std::unique_ptr<cgra::CgraMachine>> machines;
+  std::vector<std::unique_ptr<cgra::BatchedCgraMachine>> machines;
   for (std::size_t i = 0; i < kLanes; ++i) {
-    machines.push_back(std::make_unique<cgra::CgraMachine>(kernel, null_bus));
+    machines.push_back(
+        std::make_unique<cgra::BatchedCgraMachine>(kernel, null_bus));
   }
   const auto t0 = Clock::now();
   for (int it = 0; it < iterations; ++it) {
@@ -228,9 +229,9 @@ void BM_SerialIterationX8(benchmark::State& state) {
       cgra::analytic_beam_kernel_source(kc), cgra::grid_5x5(),
       "beam_analytic");
   cgra::NullSensorBus bus;
-  std::vector<std::unique_ptr<cgra::CgraMachine>> machines;
+  std::vector<std::unique_ptr<cgra::BatchedCgraMachine>> machines;
   for (std::size_t i = 0; i < kLanes; ++i) {
-    machines.push_back(std::make_unique<cgra::CgraMachine>(kernel, bus));
+    machines.push_back(std::make_unique<cgra::BatchedCgraMachine>(kernel, bus));
   }
   for (auto _ : state) {
     for (auto& m : machines) m->run_iteration();

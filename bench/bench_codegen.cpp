@@ -1,4 +1,4 @@
-// Kernel execution tiers: interpreter vs bytecode VM vs native codegen.
+// Kernel execution tiers: interpreter vs native codegen.
 //
 // The headline number is the codegen-vs-interpreter speedup on the
 // CORDIC-heavy `cavity_iq_servo` kernel at binary64, 8 lanes — the ISSUE-10
@@ -13,8 +13,8 @@
 // compile cost of ~0 ms.
 //
 // When no host compiler is available the native tier cannot run; the report
-// then says `"codegen_tier": "bytecode-fallback"` and carries no codegen
-// rows at all, rather than silently benchmarking an interpreted tier under
+// then says `"codegen_tier": "interpreter-fallback"` and carries no codegen
+// columns at all, rather than silently benchmarking the interpreter under
 // a codegen heading.
 //
 // The summary is written to `bench/reports/BENCH_codegen.json` (override
@@ -35,7 +35,6 @@
 #include "cgra/batch.hpp"
 #include "cgra/codegen.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
@@ -120,30 +119,26 @@ std::vector<double> time_tiers_ns(const CompiledKernel& kernel,
   return best;
 }
 
-/// Cheap cross-tier identity guard: run every tier side by side for a few
+/// Cheap cross-tier identity guard: run both tiers side by side for a few
 /// hundred iterations and require byte-equal states. The full matrix
-/// (serial, masked lanes, write logs, oracle) lives in tests/test_codegen.cpp;
-/// this stops a benchmark from ever reporting a speedup for wrong results.
+/// (one lane, masked lanes, write logs, oracle, random kernels) lives in
+/// tests/test_codegen.cpp and the CgraFuzz suites; this stops a benchmark
+/// from ever reporting a speedup for wrong results.
 bool tiers_identical(const CompiledKernel& kernel, Precision precision) {
   NullLaneBus bus;
   BatchedCgraMachine mi(kernel, kLanes, bus, precision,
                         ExecTier::kInterpreter);
-  BatchedCgraMachine mb(kernel, kLanes, bus, precision, ExecTier::kBytecode);
   BatchedCgraMachine mn(kernel, kLanes, bus, precision, ExecTier::kNative);
   for (int i = 0; i < 300; ++i) {
     mi.run_iteration_all_lanes();
-    mb.run_iteration_all_lanes();
     mn.run_iteration_all_lanes();
   }
   for (std::size_t l = 0; l < kLanes; ++l) {
     for (std::size_t s = 0; s < kernel.dfg.states().size(); ++s) {
       const StateHandle h{static_cast<int>(s)};
       const double a = mi.state(h, l);
-      const double b = mb.state(h, l);
       const double c = mn.state(h, l);
-      const bool eq_ab = a == b || (std::isnan(a) && std::isnan(b));
-      const bool eq_ac = a == c || (std::isnan(a) && std::isnan(c));
-      if (!eq_ab || !eq_ac) return false;
+      if (a != c && !(std::isnan(a) && std::isnan(c))) return false;
     }
   }
   return true;
@@ -154,9 +149,7 @@ struct TierRow {
   std::string precision;
   unsigned schedule_length = 0;
   double interpreter_ns = 0.0;
-  double bytecode_ns = 0.0;
   double native_ns = 0.0;       ///< 0 when the native tier is unavailable
-  double bytecode_speedup = 0.0;
   double native_speedup = 0.0;  ///< 0 when the native tier is unavailable
   bool identical = false;
 };
@@ -198,7 +191,7 @@ void write_codegen_json(const std::string& path, bool native_available,
   w.key("batch_lanes").value(static_cast<std::uint64_t>(kLanes));
   w.key("codegen_tier")
       .value(std::string_view(native_available ? "native"
-                                               : "bytecode-fallback"));
+                                               : "interpreter-fallback"));
   w.key("compiler").value(NativeKernelCache::compiler_version());
   w.key("simd_arch").value(NativeKernelCache::target_simd_arch());
   if (native_available) {
@@ -214,8 +207,6 @@ void write_codegen_json(const std::string& path, bool native_available,
     w.key("schedule_length")
         .value(static_cast<std::uint64_t>(r.schedule_length));
     w.key("interpreter_ns_per_iter").value(r.interpreter_ns);
-    w.key("bytecode_ns_per_iter").value(r.bytecode_ns);
-    w.key("bytecode_speedup").value(r.bytecode_speedup);
     if (native_available) {
       w.key("native_ns_per_iter").value(r.native_ns);
       w.key("native_speedup").value(r.native_speedup);
@@ -252,7 +243,8 @@ void write_codegen_json(const std::string& path, bool native_available,
 void print_report(const std::string& json_path) {
   const bool native_available = NativeKernelCache::compiler_available();
   std::printf("codegen tier: %s\n",
-              native_available ? "native" : "bytecode-fallback (no compiler)");
+              native_available ? "native"
+                               : "interpreter-fallback (no compiler)");
   if (native_available) {
     std::printf("compiler: %s (simd: %s)\ncache dir: %s\n",
                 NativeKernelCache::compiler_version().c_str(),
@@ -274,15 +266,12 @@ void print_report(const std::string& json_path) {
       r.schedule_length = c.kernel.schedule.length;
       r.identical =
           native_available ? tiers_identical(c.kernel, p) : true;
-      std::vector<ExecTier> tiers = {ExecTier::kInterpreter,
-                                     ExecTier::kBytecode};
+      std::vector<ExecTier> tiers = {ExecTier::kInterpreter};
       if (native_available) tiers.push_back(ExecTier::kNative);
       const std::vector<double> ns = time_tiers_ns(c.kernel, p, tiers);
       r.interpreter_ns = ns[0];
-      r.bytecode_ns = ns[1];
-      r.bytecode_speedup = r.interpreter_ns / r.bytecode_ns;
       if (native_available) {
-        r.native_ns = ns[2];
+        r.native_ns = ns[1];
         r.native_speedup = r.interpreter_ns / r.native_ns;
         if (r.kernel == "cavity_iq_servo" && p == Precision::kFloat64) {
           headline = r.native_speedup;
@@ -292,11 +281,10 @@ void print_report(const std::string& json_path) {
     }
   }
 
-  io::Table t({"kernel", "prec", "interp [ns]", "bytecode [ns]",
-               "native [ns]", "native speedup", "identical"});
+  io::Table t({"kernel", "prec", "interp [ns]", "native [ns]",
+               "native speedup", "identical"});
   for (const TierRow& r : rows) {
     t.add_row({r.kernel, r.precision, io::Table::num(r.interpreter_ns, 1),
-               io::Table::num(r.bytecode_ns, 1),
                r.native_ns > 0.0 ? io::Table::num(r.native_ns, 1) : "-",
                r.native_speedup > 0.0 ? io::Table::num(r.native_speedup, 2)
                                       : "-",
@@ -341,18 +329,6 @@ void BM_InterpreterIteration(benchmark::State& state) {
                           static_cast<std::int64_t>(kLanes));
 }
 BENCHMARK(BM_InterpreterIteration);
-
-void BM_BytecodeIteration(benchmark::State& state) {
-  const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),
-                                               grid_4x4(), "cavity_iq_servo");
-  NullLaneBus bus;
-  BatchedCgraMachine m(kernel, kLanes, bus, Precision::kFloat64,
-                       ExecTier::kBytecode);
-  for (auto _ : state) m.run_iteration_all_lanes();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kLanes));
-}
-BENCHMARK(BM_BytecodeIteration);
 
 void BM_NativeIteration(benchmark::State& state) {
   const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/schedule.hpp"
 #include "core/units.hpp"
 #include "io/table.hpp"
@@ -60,7 +60,7 @@ void print_jitter_study() {
   const cgra::CompiledKernel k =
       cgra::compile_kernel(cgra::beam_kernel_source(kc), cgra::grid_5x5());
   cgra::NullSensorBus bus;
-  cgra::CgraMachine m(k, bus);
+  cgra::BatchedCgraMachine m(k, bus);
   unsigned min_ticks = ~0u, max_ticks = 0;
   for (int i = 0; i < 10'000; ++i) {
     const unsigned ticks = m.run_iteration_cycle_accurate();
@@ -111,7 +111,7 @@ void BM_CgraCycleAccurateIteration(benchmark::State& state) {
   const cgra::CompiledKernel k =
       cgra::compile_kernel(cgra::beam_kernel_source(kc), cgra::grid_5x5());
   cgra::NullSensorBus bus;
-  cgra::CgraMachine m(k, bus);
+  cgra::BatchedCgraMachine m(k, bus);
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.run_iteration_cycle_accurate());
   }

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/schedule.hpp"
 #include "hil/framework.hpp"
 #include "hil/turnloop.hpp"
@@ -43,7 +43,7 @@ void BM_CgraFunctionalIteration(benchmark::State& state) {
   const cgra::CompiledKernel k =
       cgra::compile_kernel(cgra::beam_kernel_source(kc), cgra::grid_5x5());
   cgra::NullSensorBus bus;
-  cgra::CgraMachine m(k, bus);
+  cgra::BatchedCgraMachine m(k, bus);
   for (auto _ : state) m.run_iteration();
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(state.range(0)) + " bunches, functional");
@@ -58,7 +58,7 @@ void BM_CgraCycleAccurate(benchmark::State& state) {
   const cgra::CompiledKernel k =
       cgra::compile_kernel(cgra::beam_kernel_source(kc), cgra::grid_5x5());
   cgra::NullSensorBus bus;
-  cgra::CgraMachine m(k, bus);
+  cgra::BatchedCgraMachine m(k, bus);
   for (auto _ : state) m.run_iteration_cycle_accurate();
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(state.range(0)) + " bunches, cycle-accurate");

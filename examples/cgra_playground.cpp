@@ -15,7 +15,7 @@
 #include "cgra/bitstream.hpp"
 #include "cgra/kernels.hpp"
 #include "api/api.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
     // Execute a few iterations; print states each time.
     cgra::NullSensorBus bus;
-    cgra::CgraMachine machine(kernel, bus);
+    cgra::BatchedCgraMachine machine(kernel, bus);
     std::printf("executing 10 iterations (cycle-accurate):\n");
     for (int i = 0; i < 10; ++i) {
       machine.run_iteration_cycle_accurate();

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // Let the loop settle, displace bunch states asymmetrically, run on.
   fw.run_seconds(1.0e-3);
   for (int j = 0; j < n_bunches; ++j) {
-    fw.machine().set_state(h_dt[j], (j + 1) * 2.0e-9);  // staggered offsets
+    fw.machine().set_state(h_dt[j], (j + 1) * 2.0e-9, 0);  // staggered
   }
   fw.run_seconds(1.0e-3);
 
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   const double omega_gap =
       kTwoPi * fc.f_ref_hz * fc.kernel.ring.harmonic;
   for (int j = 0; j < n_bunches; ++j) {
-    const double dt = fw.machine().state(h_dt[j]);
-    const double dg = fw.machine().state(h_dgamma[j]);
+    const double dt = fw.machine().state(h_dt[j], 0);
+    const double dg = fw.machine().state(h_dgamma[j], 0);
     t.add_row({std::to_string(j), io::Table::num(dt * 1e9),
                io::Table::num(dg), io::Table::num(rad_to_deg(dt * omega_gap))});
   }

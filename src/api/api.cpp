@@ -59,7 +59,6 @@ void validate(const SessionConfig& config) {
   }
   switch (config.exec_tier) {
     case cgra::ExecTier::kInterpreter:
-    case cgra::ExecTier::kBytecode:
     case cgra::ExecTier::kNative:
     case cgra::ExecTier::kAuto:
       break;

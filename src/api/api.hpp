@@ -2,7 +2,7 @@
 //
 // Before this layer existed, every entry point rolled its own setup: the
 // examples copied the operating-point plumbing (ring, gamma, gap voltage),
-// the console spoke the deprecated string-keyed machine wrappers, and the
+// the console spoke string-keyed machine wrappers (since removed), and the
 // sweep builder took raw engine configs. The facade promotes that ad-hoc
 // surface into one coherent API that the session server (src/serve/), the
 // operator console, the examples and the sweep all consume:
@@ -17,11 +17,11 @@
 //                      ring from the harmonic, gamma from f_ref, gap voltage
 //                      from the target synchrotron frequency).
 //   * by-name kernel access — the sanctioned interactive path to kernel
-//                      parameters/states, replacing the deprecated
-//                      string-keyed CgraMachine wrappers. It resolves a
-//                      handle per call (fine for consoles and RPC, wrong for
-//                      per-revolution hot paths) and reports the same typed
-//                      ConfigError a direct handle lookup would.
+//                      parameters/states on any cgra::BeamModel. It
+//                      resolves a handle per call (fine for consoles and
+//                      RPC, wrong for per-revolution hot paths) and reports
+//                      the same typed ConfigError a direct handle lookup
+//                      would.
 //   * ErrorCode      — re-exported from core/error.hpp: the one error
 //                      taxonomy shared by library exceptions and the wire
 //                      protocol's response status (docs/SERVING.md).
@@ -67,8 +67,8 @@ struct SessionConfig {
   bool cycle_accurate = false;   ///< walk the CGRA schedule cycle by cycle
   bool synthesize_waveform = false;  ///< CORDIC on-chip waveform synthesis
   bool quantise_period = false;  ///< hardware-style period quantisation
-  /// Kernel execution back end (cgra/exec_tier.hpp): interpreter, bytecode,
-  /// native codegen, or auto. All tiers are bit-identical, so this knob
+  /// Kernel execution back end (cgra/exec_tier.hpp): interpreter, native
+  /// codegen, or auto. All tiers are bit-identical, so this knob
   /// changes throughput only — but it is still part of the config digest
   /// (the journal records exactly what ran).
   cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
@@ -114,8 +114,7 @@ void validate(const SessionConfig& config);
     const SessionConfig& config);
 
 // --- by-name kernel access (interactive path) -----------------------------
-// Resolves a handle per call and delegates — the replacement for the
-// deprecated string-keyed CgraMachine wrappers. Unknown names throw
+// Resolves a handle per call and delegates. Unknown names throw
 // ConfigError{kUnknownKey} naming the kernel and the offending key, exactly
 // like param_handle()/state_handle().
 

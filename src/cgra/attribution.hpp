@@ -9,9 +9,9 @@
 //
 //   * the per-ITERATION profile is static — it reads only the schedule, so
 //     it is exactly deterministic and free of run-state,
-//   * run totals are profile × iteration count (CgraMachine::iterations(),
-//     BatchedCgraMachine lane iterations), which the machines track anyway,
-//   * the machines also mirror the totals into registry counters
+//   * run totals are profile × iteration count (the engine's per-lane
+//     iteration counts, BatchedCgraMachine::lane_iterations()),
+//   * the engine also mirrors the totals into registry counters
 //     "cgra.op_cycles[op=<kind>,fu=<class>]" (resolved once at machine
 //     construction; relaxed no-ops while the registry is disabled), which
 //     the Prometheus exposition renders as one labelled series per op kind.

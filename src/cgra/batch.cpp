@@ -4,7 +4,6 @@
 #include <cmath>
 #include <type_traits>
 
-#include "cgra/bytecode.hpp"
 #include "cgra/codegen.hpp"
 #include "cgra/exec.hpp"
 #include "core/error.hpp"
@@ -47,14 +46,6 @@ void lane_bus_write_at(void* bus, std::uint32_t lane, std::uint32_t region,
       lane, static_cast<SensorRegion>(region), offset, value);
 }
 
-obs::Counter& tier_iteration_counter(ExecTier tier) {
-  static obs::Counter* const counters[3] = {
-      &obs::Registry::global().counter("cgra.exec.iterations.interpreter"),
-      &obs::Registry::global().counter("cgra.exec.iterations.bytecode"),
-      &obs::Registry::global().counter("cgra.exec.iterations.native")};
-  return *counters[static_cast<int>(tier)];
-}
-
 }  // namespace
 
 BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
@@ -65,14 +56,29 @@ BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
       precision_(precision),
       lanes_(lanes),
       attribution_counters_(kernel) {
-  if (lanes == 0) {
+  init(tier);
+}
+
+BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
+                                       SensorBus& bus, Precision precision,
+                                       ExecTier tier)
+    : kernel_(&kernel),
+      own_bus_(std::make_unique<PerLaneBusAdapter>(
+          std::vector<SensorBus*>{&bus})),
+      bus_(own_bus_.get()),
+      precision_(precision),
+      lanes_(1),
+      attribution_counters_(kernel) {
+  init(tier);
+}
+
+void BatchedCgraMachine::init(ExecTier tier) {
+  const CompiledKernel& kernel = *kernel_;
+  if (lanes_ == 0) {
     throw ConfigError("BatchedCgraMachine for kernel '" + kernel.name +
                       "' needs at least one lane");
   }
-  tier_ = resolve_exec_tier(tier, kernel, precision, lanes_, &native_);
-  if (tier_ == ExecTier::kBytecode) {
-    bytecode_ = std::make_unique<BytecodeProgram>(kernel, lanes_);
-  }
+  tier_ = resolve_exec_tier(tier, kernel, precision_, lanes_, &native_);
   values_.assign(kernel.dfg.size() * lanes_, 0.0);
   pipe_regs_.assign(kernel.dfg.size() * lanes_, 0.0);
   topo_ = kernel.dfg.topo_order();
@@ -97,7 +103,10 @@ BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
   obs_lanes_active_ = &reg.gauge("cgra.batch.lanes_active");
   obs_iterations_ = &reg.counter("cgra.iterations");
   obs_cycles_ = &reg.counter("cgra.schedule_cycles");
-  obs_tier_iters_ = &tier_iteration_counter(tier_);
+  // Per-tier iteration series: which back end the functional path ran.
+  obs_tier_iters_ = &reg.counter(tier_ == ExecTier::kNative
+                                     ? "cgra.exec.iterations.native"
+                                     : "cgra.exec.iterations.interpreter");
   reset();
 }
 
@@ -489,19 +498,6 @@ unsigned BatchedCgraMachine::run_iteration_all_lanes() {
       commit_bookkeeping(IdentityMap{}, lanes_);
       break;
     }
-    case ExecTier::kBytecode: {
-      BcContext ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.lanes = lanes_;
-      ctx.scratch_f = scratch_f_.data();
-      ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_dense(precision_, ctx, *bus_);
-      commit(IdentityMap{}, lanes_);
-      break;
-    }
     default:
       if (precision_ == Precision::kFloat32) {
         run_pass<float>(IdentityMap{}, lanes_);
@@ -536,19 +532,6 @@ unsigned BatchedCgraMachine::run_iteration_lanes(const std::uint32_t* lane_ids,
       commit_bookkeeping(IndexMap{lane_ids}, n_active);
       break;
     }
-    case ExecTier::kBytecode: {
-      BcContext ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.lanes = lanes_;
-      ctx.scratch_f = scratch_f_.data();
-      ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_masked(precision_, ctx, *bus_, lane_ids, n_active);
-      commit(IndexMap{lane_ids}, n_active);
-      break;
-    }
     default:
       if (precision_ == Precision::kFloat32) {
         run_pass<float>(IndexMap{lane_ids}, n_active);
@@ -558,6 +541,106 @@ unsigned BatchedCgraMachine::run_iteration_lanes(const std::uint32_t* lane_ids,
       break;
   }
   return kernel_->schedule.length;
+}
+
+unsigned BatchedCgraMachine::run_iteration_cycle_accurate() {
+  CITL_CHECK_MSG(lanes_ == 1, "cycle-accurate execution walks one lane");
+  const Dfg& g = kernel_->dfg;
+  const Schedule& sched = kernel_->schedule;
+
+  // Issue order: by start cycle, then NodeId. The schedule guarantees every
+  // operand is committed (producer finish <= consumer start), so issuing in
+  // start order and committing at finish reproduces the hardware exactly.
+  struct Event {
+    unsigned start;
+    NodeId node;
+  };
+  std::vector<Event> events;
+  events.reserve(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    events.push_back({sched.placement[i].start, static_cast<NodeId>(i)});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.start != b.start ? a.start < b.start : a.node < b.node;
+  });
+
+  // With one lane, a node's row is its value slot: values_[node].
+  std::vector<double> committed(values_.begin(), values_.end());
+  struct PendingWrite {
+    unsigned cycle;
+    NodeId node;
+    double value;
+  };
+  std::vector<PendingWrite> pending;
+
+  std::size_t next_event = 0;
+  for (unsigned cycle = 0; cycle <= sched.length; ++cycle) {
+    // Commit results whose latency elapsed.
+    for (auto it = pending.begin(); it != pending.end();) {
+      if (it->cycle <= cycle) {
+        committed[static_cast<std::size_t>(it->node)] = it->value;
+        it = pending.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    // Issue ops starting this cycle.
+    while (next_event < events.size() && events[next_event].start == cycle) {
+      const NodeId id = events[next_event].node;
+      ++next_event;
+      const Node& n = g.node(id);
+      auto read_operand = [&](NodeId producer) {
+        if (g.is_pipeline_edge(producer, id)) {
+          return pipe_regs_[static_cast<std::size_t>(producer)];
+        }
+        return committed[static_cast<std::size_t>(producer)];
+      };
+      double out = 0.0;
+      switch (n.kind) {
+        case OpKind::kConst:
+          out = quantise(n.constant);
+          break;
+        case OpKind::kParam:
+          out = param_vals_[static_cast<std::size_t>(
+              param_slot_[static_cast<std::size_t>(id)])];
+          break;
+        case OpKind::kState:
+          out = state_vals_[static_cast<std::size_t>(
+              state_slot_[static_cast<std::size_t>(id)])];
+          break;
+        case OpKind::kLoad: {
+          const DecodedAddress da = decode_address(read_operand(n.args[0]));
+          out = quantise(bus_->read(0, da.region, da.offset));
+          break;
+        }
+        case OpKind::kStore: {
+          const DecodedAddress da = decode_address(read_operand(n.args[0]));
+          const double val = read_operand(n.args[1]);
+          bus_->write(0, da.region, da.offset, val);
+          out = val;
+          break;
+        }
+        case OpKind::kMove:
+          out = read_operand(n.args[0]);
+          break;
+        default: {
+          const double a = n.arity() > 0 ? read_operand(n.args[0]) : 0.0;
+          const double b = n.arity() > 1 ? read_operand(n.args[1]) : 0.0;
+          const double c = n.arity() > 2 ? read_operand(n.args[2]) : 0.0;
+          out = precision_ == Precision::kFloat32
+                    ? detail::eval_scalar<float>(n.kind, a, b, c)
+                    : detail::eval_scalar<double>(n.kind, a, b, c);
+          break;
+        }
+      }
+      values_[static_cast<std::size_t>(id)] = out;
+      pending.push_back(
+          {sched.placement[static_cast<std::size_t>(id)].finish, id, out});
+    }
+  }
+  CITL_CHECK_MSG(pending.empty(), "uncommitted results after makespan");
+  commit(IdentityMap{}, 1);
+  return sched.length;
 }
 
 }  // namespace citl::cgra

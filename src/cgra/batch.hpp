@@ -1,4 +1,5 @@
-// Batched lane-parallel CGRA execution (structure-of-arrays).
+// The CGRA engine: lane-parallel execution of one compiled kernel
+// (structure-of-arrays).
 //
 // A sweep runs the *same* compiled kernel over many operating points; the
 // overlay exploits the tracking map's parallelism in hardware, and this is
@@ -6,10 +7,24 @@
 // lanes of one CompiledKernel in lockstep. Node values live in
 // structure-of-arrays layout — values_[node * lanes + lane], contiguous per
 // node — so evaluating one dataflow node across all lanes is a tight,
-// auto-vectorizable inner loop instead of N interpreter walks.
+// auto-vectorizable inner loop instead of N interpreter walks. A single
+// closed loop (hil::TurnLoop, hil::Framework, hil::RampLoop) owns the same
+// engine at one lane.
+//
+// Two execution modes with identical results (a tested invariant):
+//   * functional     — evaluates the dataflow graph in topological order
+//                      through the selected tier (exec_tier.hpp); used for
+//                      long closed-loop runs and every batched lane,
+//   * cycle-accurate — one lane only: walks the schedule cycle by cycle,
+//                      issuing each operation on its PE at its context slot
+//                      and committing results at op latency; IO hits the bus
+//                      at the scheduled cycle. This mode is the software twin
+//                      of the overlay, provides the deterministic timing the
+//                      paper relies on, and is the scalar reference the
+//                      bit-identity tests compare every lane against.
 //
 // Determinism contract (docs/BATCHING.md): every lane computes bit-identical
-// results to a single CgraMachine running the same inputs. The per-operator
+// results to a one-lane engine running the same inputs. The per-operator
 // arithmetic is shared (cgra/exec.hpp), the CORDIC is evaluated branch-free
 // across lanes with the same operation sequence as the scalar rotation, and
 // sensor-bus traffic is issued per lane in ascending lane order.
@@ -19,15 +34,19 @@
 #include <memory>
 #include <vector>
 
+#include "cgra/attribution.hpp"
 #include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "cgra/sensor.hpp"
 #include "core/aligned.hpp"
+#include "core/error.hpp"
 
 namespace citl::cgra {
 
-/// Lane-indexed sensor bus: the batched machine's IO interface. Each lane
-/// must see its own scenario's buffers, so loads/stores carry the lane.
+class NativeKernel;  // codegen.hpp
+
+/// Lane-indexed sensor bus: the engine's IO interface. Each lane must see
+/// its own scenario's buffers, so loads/stores carry the lane.
 class LaneSensorBus {
  public:
   virtual ~LaneSensorBus() = default;
@@ -62,10 +81,15 @@ class BatchedCgraMachine final : public BeamModel {
  public:
   /// The machine keeps references to the kernel and the bus; both must
   /// outlive it. `bus` must serve at least `lanes` lanes. `tier` picks the
-  /// execution back end (exec_tier.hpp); kAuto and the no-compiler fallback
+  /// functional back end (exec_tier.hpp); kAuto and the no-compiler fallback
   /// resolve at construction.
   BatchedCgraMachine(const CompiledKernel& kernel, std::size_t lanes,
                      LaneSensorBus& bus,
+                     Precision precision = Precision::kFloat32,
+                     ExecTier tier = ExecTier::kInterpreter);
+  /// A one-lane engine over an ordinary SensorBus (wrapped in an owned
+  /// PerLaneBusAdapter). Kernel and bus must outlive the machine.
+  BatchedCgraMachine(const CompiledKernel& kernel, SensorBus& bus,
                      Precision precision = Precision::kFloat32,
                      ExecTier tier = ExecTier::kInterpreter);
   ~BatchedCgraMachine() override;
@@ -91,6 +115,8 @@ class BatchedCgraMachine final : public BeamModel {
   /// One functional iteration on every lane; returns the CGRA clock ticks
   /// one iteration occupies (== schedule length).
   unsigned run_iteration_all_lanes() override;
+  /// The same call, spelled for one-lane owners.
+  unsigned run_iteration() { return run_iteration_all_lanes(); }
 
   /// One functional iteration on a subset of lanes (ascending, no
   /// duplicates); inactive lanes keep their values, states and pipeline
@@ -99,10 +125,15 @@ class BatchedCgraMachine final : public BeamModel {
   unsigned run_iteration_lanes(const std::uint32_t* lane_ids,
                                std::size_t n_active);
 
+  /// One iteration cycle by cycle, always interpreted regardless of the
+  /// tier (the timing twin); returns the CGRA clock ticks consumed
+  /// (== schedule length). One-lane engines only.
+  unsigned run_iteration_cycle_accurate();
+
   /// Value computed for `node` on `lane` in its most recent iteration.
   [[nodiscard]] double value(NodeId node, std::size_t lane) const;
 
-  /// Batched iterations executed (one per run_iteration_* call).
+  /// Iterations executed (one per run_iteration_* call).
   [[nodiscard]] std::uint64_t iterations() const noexcept {
     return iterations_;
   }
@@ -113,6 +144,7 @@ class BatchedCgraMachine final : public BeamModel {
   }
 
  private:
+  void init(ExecTier tier);
   template <typename F, typename LaneMap>
   void run_pass(const LaneMap& lm, std::size_t n);
   template <typename F, typename LaneMap>
@@ -140,6 +172,7 @@ class BatchedCgraMachine final : public BeamModel {
   }
 
   const CompiledKernel* kernel_;
+  std::unique_ptr<PerLaneBusAdapter> own_bus_;  ///< one-lane constructor only
   LaneSensorBus* bus_;
   Precision precision_;
   std::size_t lanes_;
@@ -168,7 +201,6 @@ class BatchedCgraMachine final : public BeamModel {
   obs::Counter* obs_cycles_ = nullptr;
   obs::Counter* obs_tier_iters_ = nullptr;
   ExecTier tier_ = ExecTier::kInterpreter;    ///< resolved (never kAuto)
-  std::unique_ptr<BytecodeProgram> bytecode_;
   std::shared_ptr<const NativeKernel> native_;
 };
 

@@ -430,8 +430,8 @@ class Emitter {
 
   /// The commit phase, emitted at the end of both passes: latch stage-0 rows
   /// into the pipeline-register bank and state update rows into the state
-  /// bank, exactly what BatchedCgraMachine::commit / CgraMachine's
-  /// commit_iteration do (raw double rows, no quantisation). The host skips
+  /// bank, exactly what BatchedCgraMachine::commit does (raw double rows,
+  /// no quantisation). The host skips
   /// its own data copies for the native tier. Dense emission keeps the lane
   /// loop innermost (one contiguous row per copy — trivially vectorized);
   /// the masked form indirects each copy through the active-lane list.
@@ -760,7 +760,7 @@ CompilerInfo discover_compiler() {
   std::vector<std::string> candidates;
   if (const char* env_cc = std::getenv("CITL_CODEGEN_CC")) {
     // Explicit override: no fallthrough, so tests (and operators) can force
-    // the bytecode fallback by pointing this at a nonexistent binary.
+    // the interpreter fallback by pointing this at a nonexistent binary.
     candidates.emplace_back(env_cc);
   } else {
 #ifdef CITL_HOST_CXX
@@ -1230,10 +1230,10 @@ ExecTier resolve_exec_tier(ExecTier requested, const CompiledKernel& kernel,
   switch (requested) {
     case ExecTier::kInterpreter:
       return ExecTier::kInterpreter;
-    case ExecTier::kBytecode:
-      return ExecTier::kBytecode;
     case ExecTier::kAuto:
-      if (!NativeKernelCache::compiler_available()) return ExecTier::kBytecode;
+      if (!NativeKernelCache::compiler_available()) {
+        return ExecTier::kInterpreter;
+      }
       [[fallthrough]];
     case ExecTier::kNative: {
       auto native =
@@ -1242,7 +1242,7 @@ ExecTier resolve_exec_tier(ExecTier requested, const CompiledKernel& kernel,
         *out_native = std::move(native);
         return ExecTier::kNative;
       }
-      return ExecTier::kBytecode;
+      return ExecTier::kInterpreter;
     }
   }
   return ExecTier::kInterpreter;

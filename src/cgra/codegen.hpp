@@ -4,7 +4,7 @@
 // straight-line C++ — one translation unit per (kernel, precision, lane
 // width) — with explicit SIMD over the SoA lane rows via the
 // simd_portability.hpp macro layer (AVX2 / NEON / scalar). The emitted code
-// is bit-identical to the interpreters by construction: sources and moves
+// is bit-identical to the interpreter by construction: sources and moves
 // stay in the raw double domain, compute nodes quantise at operand use
 // exactly like cgra/exec.hpp, fmin/fmax/CORDIC go through the same scalar
 // libm/iteration sequences, and FP contraction is disabled at compile time.
@@ -15,8 +15,8 @@
 // ($CITL_KERNEL_CACHE_DIR, default /tmp/citl-kernel-cache-<uid>) holding
 // <hash>.cpp / <hash>.so / <hash>.json (a compilation report). A corrupt or
 // mismatched .so is deleted and recompiled. When no host compiler can be
-// found (or $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the machines
-// fall back to the bytecode tier — nothing in the pipeline requires a
+// found (or $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the engine
+// falls back to the interpreter — nothing in the pipeline requires a
 // toolchain at run time.
 //
 // Compiler discovery order: $CITL_CODEGEN_CC (explicit, no fallthrough — set
@@ -40,10 +40,10 @@ namespace citl::cgra {
 /// every cached .so (they fail verification and are recompiled).
 inline constexpr unsigned kNativeKernelAbi = 3;
 
-/// Pass-level execution state handed to a generated kernel. Mirrors
-/// BcContext plus the sensor-bus trampolines (the generated code never
+/// Pass-level execution state handed to a generated kernel: the engine's
+/// SoA banks plus the sensor-bus trampolines (the generated code never
 /// decodes addresses or touches C++ bus classes; the host wraps its bus in
-/// two C callbacks). Unlike the interpreter tiers, a generated kernel also
+/// C callbacks). Unlike the interpreter, a generated kernel also
 /// owns the commit phase: it latches stage-0 rows into `pipe_regs` and the
 /// state update rows into `state_vals` itself (the rows are hot in cache
 /// there), so the host skips the data half of commit() for this tier.
@@ -124,7 +124,7 @@ class NativeKernelCache {
  public:
   /// Returns the loaded kernel, or nullptr when the native tier is
   /// unavailable (no compiler, disabled, or the compile failed) — callers
-  /// fall back to bytecode. Concurrent gets of the same key share one
+  /// fall back to the interpreter. Concurrent gets of the same key share one
   /// compilation; failures are memoised too (no retry storms).
   std::shared_ptr<const NativeKernel> get(const CompiledKernel& kernel,
                                           Precision precision,
@@ -164,10 +164,10 @@ class NativeKernelCache {
   std::string last_error_;
 };
 
-/// Resolves a requested tier to the one a machine will run: kAuto becomes
-/// kNative when a compiler is available (else kBytecode, without touching
+/// Resolves a requested tier to the one the engine will run: kAuto becomes
+/// kNative when a compiler is available (else kInterpreter, without touching
 /// the cache), and an explicit kNative that cannot be satisfied falls back
-/// to kBytecode (counted in CodegenStats::fallbacks). On a kNative result
+/// to kInterpreter (counted in CodegenStats::fallbacks). On a kNative result
 /// `*out_native` holds the loaded kernel.
 [[nodiscard]] ExecTier resolve_exec_tier(
     ExecTier requested, const CompiledKernel& kernel, Precision precision,

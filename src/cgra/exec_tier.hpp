@@ -1,25 +1,26 @@
 // Kernel execution tiers.
 //
-// Both machines (CgraMachine, BatchedCgraMachine) can evaluate a compiled
-// kernel through three interchangeable back ends with bit-identical results
-// (the Codegen* tests pin it per kernel and precision):
+// The engine (BatchedCgraMachine) evaluates a compiled kernel's functional
+// iteration through one of two interchangeable back ends with bit-identical
+// results (the Codegen* and CgraFuzz* tests pin it per kernel and
+// precision):
 //
 //   kInterpreter — walk the dataflow graph node by node, dispatching on
-//                  OpKind (the original engine; the cycle-accurate mode is
-//                  always interpreted — it is the timing twin).
-//   kBytecode    — a flat instruction stream lowered once from the compiled
-//                  schedule: operand banks are pre-resolved (pipeline edges,
-//                  param/state slots) and dispatch is a computed goto.
-//                  Always available; no toolchain dependency.
+//                  OpKind, one tight loop over the lanes per node. Always
+//                  available; no toolchain dependency. (The cycle-accurate
+//                  mode always interprets — it is the timing twin.)
 //   kNative      — straight-line C++ emitted from the dataflow graph (SIMD
 //                  over the SoA lanes), compiled by the host compiler,
 //                  dlopen'd and cached on disk (cgra/codegen.hpp). Falls
-//                  back to kBytecode when no compiler is available.
-//   kAuto        — kNative when a host compiler can be found, else kBytecode.
+//                  back to kInterpreter when no compiler is available.
+//   kAuto        — kNative when a host compiler can be found, else
+//                  kInterpreter.
 //
 // The tier is a configuration knob (FrameworkConfig / TurnLoopConfig /
-// api::SessionConfig); a machine resolves kAuto and the no-compiler fallback
-// at construction and reports the tier it actually runs via exec_tier().
+// api::SessionConfig); the engine resolves kAuto and the no-compiler
+// fallback at construction and reports the tier it actually runs via
+// exec_tier(). The enumerator values are wire and journal bytes; value 1
+// belonged to a retired tier and is refused as an unknown tier.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@ namespace citl::cgra {
 
 enum class ExecTier : std::uint8_t {
   kInterpreter = 0,
-  kBytecode = 1,
   kNative = 2,
   kAuto = 3,
 };
@@ -37,21 +37,10 @@ enum class ExecTier : std::uint8_t {
 [[nodiscard]] constexpr std::string_view exec_tier_name(ExecTier t) noexcept {
   switch (t) {
     case ExecTier::kInterpreter: return "interpreter";
-    case ExecTier::kBytecode: return "bytecode";
     case ExecTier::kNative: return "native";
     case ExecTier::kAuto: return "auto";
   }
   return "?";
-}
-
-/// Parses an exec_tier_name() string; returns false on unknown names.
-[[nodiscard]] constexpr bool parse_exec_tier(std::string_view s,
-                                             ExecTier* out) noexcept {
-  if (s == "interpreter") { *out = ExecTier::kInterpreter; return true; }
-  if (s == "bytecode") { *out = ExecTier::kBytecode; return true; }
-  if (s == "native") { *out = ExecTier::kNative; return true; }
-  if (s == "auto") { *out = ExecTier::kAuto; return true; }
-  return false;
 }
 
 }  // namespace citl::cgra

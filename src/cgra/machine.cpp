@@ -1,41 +1,12 @@
 #include "cgra/machine.hpp"
 
-#include <algorithm>
+#include <string>
 
-#include "cgra/bytecode.hpp"
-#include "cgra/codegen.hpp"
-#include "cgra/exec.hpp"
 #include "core/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace citl::cgra {
 
 namespace {
-
-/// C-ABI bus trampolines for generated kernels (serial machine: the
-/// lane-less SensorBus; the lane argument is ignored).
-double serial_bus_read(void* bus, std::uint32_t /*lane*/, double addr) {
-  const DecodedAddress da = decode_address(addr);
-  return static_cast<SensorBus*>(bus)->read(da.region, da.offset);
-}
-
-void serial_bus_write(void* bus, std::uint32_t /*lane*/, double addr,
-                      double value) {
-  const DecodedAddress da = decode_address(addr);
-  static_cast<SensorBus*>(bus)->write(da.region, da.offset, value);
-}
-
-double serial_bus_read_at(void* bus, std::uint32_t /*lane*/,
-                          std::uint32_t region, double offset) {
-  return static_cast<SensorBus*>(bus)->read(static_cast<SensorRegion>(region),
-                                            offset);
-}
-
-void serial_bus_write_at(void* bus, std::uint32_t /*lane*/,
-                         std::uint32_t region, double offset, double value) {
-  static_cast<SensorBus*>(bus)->write(static_cast<SensorRegion>(region),
-                                      offset, value);
-}
 
 [[noreturn]] void throw_unknown(const CompiledKernel& kernel, const char* what,
                                 std::string_view name) {
@@ -104,363 +75,6 @@ StateHandle find_state(const CompiledKernel& kernel,
     if (states[i].name == name) return StateHandle{static_cast<int>(i)};
   }
   return StateHandle{};
-}
-
-CgraMachine::CgraMachine(const CompiledKernel& kernel, SensorBus& bus,
-                         Precision precision, ExecTier tier)
-    : kernel_(&kernel),
-      bus_(&bus),
-      precision_(precision),
-      attribution_counters_(kernel) {
-  tier_ = resolve_exec_tier(tier, kernel, precision, /*lanes=*/1, &native_);
-  if (tier_ == ExecTier::kBytecode) {
-    bytecode_ = std::make_unique<BytecodeProgram>(kernel, /*lanes=*/1);
-  }
-  values_.assign(kernel.dfg.size(), 0.0);
-  pipe_regs_.assign(kernel.dfg.size(), 0.0);
-  topo_ = kernel.dfg.topo_order();
-  // Node -> param/state slot tables, so source nodes resolve their value in
-  // O(1) inside the interpreter loop instead of scanning the var tables.
-  param_slot_.assign(kernel.dfg.size(), -1);
-  state_slot_.assign(kernel.dfg.size(), -1);
-  const auto& params = kernel.dfg.params();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    param_slot_[static_cast<std::size_t>(params[i].node)] =
-        static_cast<int>(i);
-  }
-  const auto& states = kernel.dfg.states();
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    state_slot_[static_cast<std::size_t>(states[i].node)] =
-        static_cast<int>(i);
-  }
-  reset();
-}
-
-void CgraMachine::reset() {
-  const Dfg& g = kernel_->dfg;
-  state_vals_.clear();
-  for (const auto& s : g.states()) state_vals_.push_back(s.initial);
-  param_vals_.clear();
-  for (const auto& p : g.params()) param_vals_.push_back(p.default_value);
-  std::fill(values_.begin(), values_.end(), 0.0);
-  std::fill(pipe_regs_.begin(), pipe_regs_.end(), 0.0);
-  iterations_ = 0;
-}
-
-void CgraMachine::check_lane(std::size_t lane) const {
-  if (lane != 0) detail::throw_lane_out_of_range(*kernel_, lane, 1);
-}
-
-void CgraMachine::set_param(ParamHandle h, double value, std::size_t lane) {
-  check_lane(lane);
-  if (!h.valid() ||
-      static_cast<std::size_t>(h.index) >= param_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "parameter");
-  }
-  param_vals_[static_cast<std::size_t>(h.index)] = quantise(value);
-}
-
-double CgraMachine::param(ParamHandle h, std::size_t lane) const {
-  check_lane(lane);
-  if (!h.valid() ||
-      static_cast<std::size_t>(h.index) >= param_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "parameter");
-  }
-  return param_vals_[static_cast<std::size_t>(h.index)];
-}
-
-double CgraMachine::state(StateHandle h, std::size_t lane) const {
-  check_lane(lane);
-  if (!h.valid() ||
-      static_cast<std::size_t>(h.index) >= state_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "state");
-  }
-  return state_vals_[static_cast<std::size_t>(h.index)];
-}
-
-void CgraMachine::snapshot_states(std::size_t lane, double* out) const {
-  check_lane(lane);
-  for (std::size_t s = 0; s < state_vals_.size(); ++s) out[s] = state_vals_[s];
-}
-
-void CgraMachine::restore_states(std::size_t lane, const double* values) {
-  check_lane(lane);
-  // Raw copy, no re-quantise: the image came from snapshot_states() and is
-  // already at working precision, so the round-trip is bit-exact.
-  for (std::size_t s = 0; s < state_vals_.size(); ++s) state_vals_[s] = values[s];
-}
-
-void CgraMachine::snapshot_pipe_regs(std::size_t lane, double* out) const {
-  check_lane(lane);
-  for (std::size_t i = 0; i < pipe_regs_.size(); ++i) out[i] = pipe_regs_[i];
-}
-
-void CgraMachine::restore_pipe_regs(std::size_t lane, const double* values) {
-  check_lane(lane);
-  for (std::size_t i = 0; i < pipe_regs_.size(); ++i) pipe_regs_[i] = values[i];
-}
-
-void CgraMachine::set_state(StateHandle h, double value, std::size_t lane) {
-  check_lane(lane);
-  if (!h.valid() ||
-      static_cast<std::size_t>(h.index) >= state_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "state");
-  }
-  state_vals_[static_cast<std::size_t>(h.index)] = quantise(value);
-}
-
-void CgraMachine::set_param(const std::string& name, double value) {
-  set_param(cgra::param_handle(*kernel_, name), value);
-}
-
-double CgraMachine::param(const std::string& name) const {
-  return param(cgra::param_handle(*kernel_, name));
-}
-
-double CgraMachine::state(const std::string& name) const {
-  return state(cgra::state_handle(*kernel_, name));
-}
-
-void CgraMachine::set_state(const std::string& name, double value) {
-  set_state(cgra::state_handle(*kernel_, name), value);
-}
-
-double CgraMachine::value(NodeId node) const {
-  CITL_CHECK(node >= 0 && static_cast<std::size_t>(node) < values_.size());
-  return values_[static_cast<std::size_t>(node)];
-}
-
-double CgraMachine::quantise(double v) const noexcept {
-  return precision_ == Precision::kFloat32
-             ? static_cast<double>(static_cast<float>(v))
-             : v;
-}
-
-double CgraMachine::operand(NodeId consumer, NodeId producer) const {
-  // Pipeline edges read the register written in the previous iteration.
-  if (kernel_->dfg.is_pipeline_edge(producer, consumer)) {
-    return pipe_regs_[static_cast<std::size_t>(producer)];
-  }
-  return values_[static_cast<std::size_t>(producer)];
-}
-
-double CgraMachine::eval(const Node& n, double a, double b, double c) {
-  return precision_ == Precision::kFloat32
-             ? detail::eval_scalar<float>(n.kind, a, b, c)
-             : detail::eval_scalar<double>(n.kind, a, b, c);
-}
-
-CgraMachine::~CgraMachine() = default;
-
-void CgraMachine::run_iteration() {
-  // Per-tier iteration series (exec_tier.hpp ordering): which back end the
-  // functional path actually ran.
-  static obs::Counter* const tier_counters[3] = {
-      &obs::Registry::global().counter("cgra.exec.iterations.interpreter"),
-      &obs::Registry::global().counter("cgra.exec.iterations.bytecode"),
-      &obs::Registry::global().counter("cgra.exec.iterations.native")};
-  tier_counters[static_cast<int>(tier_)]->add();
-  switch (tier_) {
-    case ExecTier::kNative: {
-      NativeCtx ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.bus = bus_;
-      ctx.bus_read = &serial_bus_read;
-      ctx.bus_write = &serial_bus_write;
-      ctx.bus_read_at = &serial_bus_read_at;
-      ctx.bus_write_at = &serial_bus_write_at;
-      native_->run_dense(ctx);
-      commit_iteration();
-      break;
-    }
-    case ExecTier::kBytecode: {
-      BcContext ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.lanes = 1;
-      ctx.scratch_f = scratch_f_.data();
-      ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_serial(precision_, ctx, *bus_);
-      commit_iteration();
-      break;
-    }
-    default:
-      run_iteration_interpreted();
-      break;
-  }
-}
-
-void CgraMachine::run_iteration_interpreted() {
-  const Dfg& g = kernel_->dfg;
-  for (NodeId id : topo_) {
-    const Node& n = g.node(id);
-    double out = 0.0;
-    switch (n.kind) {
-      case OpKind::kConst:
-        out = quantise(n.constant);
-        break;
-      case OpKind::kParam:
-        out = param_vals_[static_cast<std::size_t>(
-            param_slot_[static_cast<std::size_t>(id)])];
-        break;
-      case OpKind::kState:
-        out = state_vals_[static_cast<std::size_t>(
-            state_slot_[static_cast<std::size_t>(id)])];
-        break;
-      case OpKind::kLoad: {
-        const double addr = operand(id, n.args[0]);
-        const DecodedAddress da = decode_address(addr);
-        out = quantise(bus_->read(da.region, da.offset));
-        break;
-      }
-      case OpKind::kStore: {
-        const double addr = operand(id, n.args[0]);
-        const double val = operand(id, n.args[1]);
-        const DecodedAddress da = decode_address(addr);
-        bus_->write(da.region, da.offset, val);
-        out = val;
-        break;
-      }
-      case OpKind::kMove:
-        out = operand(id, n.args[0]);
-        break;
-      default: {
-        const double a = n.arity() > 0 ? operand(id, n.args[0]) : 0.0;
-        const double b = n.arity() > 1 ? operand(id, n.args[1]) : 0.0;
-        const double c = n.arity() > 2 ? operand(id, n.args[2]) : 0.0;
-        out = eval(n, a, b, c);
-        break;
-      }
-    }
-    values_[static_cast<std::size_t>(id)] = out;
-  }
-  commit_iteration();
-}
-
-unsigned CgraMachine::run_iteration_cycle_accurate() {
-  const Dfg& g = kernel_->dfg;
-  const Schedule& sched = kernel_->schedule;
-
-  // Issue order: by start cycle, then NodeId. The schedule guarantees every
-  // operand is committed (producer finish <= consumer start), so issuing in
-  // start order and committing at finish reproduces the hardware exactly.
-  struct Event {
-    unsigned start;
-    NodeId node;
-  };
-  std::vector<Event> events;
-  events.reserve(g.size());
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    events.push_back({sched.placement[i].start, static_cast<NodeId>(i)});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.start != b.start ? a.start < b.start : a.node < b.node;
-  });
-
-  std::vector<double> committed = values_;  // results visible to consumers
-  struct PendingWrite {
-    unsigned cycle;
-    NodeId node;
-    double value;
-  };
-  std::vector<PendingWrite> pending;
-
-  std::size_t next_event = 0;
-  for (unsigned cycle = 0; cycle <= sched.length; ++cycle) {
-    // Commit results whose latency elapsed.
-    for (auto it = pending.begin(); it != pending.end();) {
-      if (it->cycle <= cycle) {
-        committed[static_cast<std::size_t>(it->node)] = it->value;
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Issue ops starting this cycle.
-    while (next_event < events.size() && events[next_event].start == cycle) {
-      const NodeId id = events[next_event].node;
-      ++next_event;
-      const Node& n = g.node(id);
-      auto read_operand = [&](NodeId producer) {
-        if (g.is_pipeline_edge(producer, id)) {
-          return pipe_regs_[static_cast<std::size_t>(producer)];
-        }
-        return committed[static_cast<std::size_t>(producer)];
-      };
-      double out = 0.0;
-      switch (n.kind) {
-        case OpKind::kConst:
-          out = quantise(n.constant);
-          break;
-        case OpKind::kParam:
-          out = param_vals_[static_cast<std::size_t>(
-              param_slot_[static_cast<std::size_t>(id)])];
-          break;
-        case OpKind::kState:
-          out = state_vals_[static_cast<std::size_t>(
-              state_slot_[static_cast<std::size_t>(id)])];
-          break;
-        case OpKind::kLoad: {
-          const DecodedAddress da = decode_address(read_operand(n.args[0]));
-          out = quantise(bus_->read(da.region, da.offset));
-          break;
-        }
-        case OpKind::kStore: {
-          const DecodedAddress da = decode_address(read_operand(n.args[0]));
-          const double val = read_operand(n.args[1]);
-          bus_->write(da.region, da.offset, val);
-          out = val;
-          break;
-        }
-        case OpKind::kMove:
-          out = read_operand(n.args[0]);
-          break;
-        default: {
-          const double a = n.arity() > 0 ? read_operand(n.args[0]) : 0.0;
-          const double b = n.arity() > 1 ? read_operand(n.args[1]) : 0.0;
-          const double c = n.arity() > 2 ? read_operand(n.args[2]) : 0.0;
-          out = eval(n, a, b, c);
-          break;
-        }
-      }
-      values_[static_cast<std::size_t>(id)] = out;
-      pending.push_back(
-          {sched.placement[static_cast<std::size_t>(id)].finish, id, out});
-    }
-  }
-  CITL_CHECK_MSG(pending.empty(), "uncommitted results after makespan");
-  commit_iteration();
-  return sched.length;
-}
-
-void CgraMachine::commit_iteration() {
-  const Dfg& g = kernel_->dfg;
-  // Pipeline registers latch this iteration's stage-0 values.
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (g.node(static_cast<NodeId>(i)).stage == 0) {
-      pipe_regs_[i] = values_[i];
-    }
-  }
-  // States take their update nodes' values.
-  const auto& states = g.states();
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    state_vals_[i] = values_[static_cast<std::size_t>(states[i].update)];
-  }
-  ++iterations_;
-  // Per-iteration occupancy accounting: one context switch through the whole
-  // schedule, `length` CGRA clock ticks consumed.
-  static obs::Counter& iterations =
-      obs::Registry::global().counter("cgra.iterations");
-  static obs::Counter& cycles =
-      obs::Registry::global().counter("cgra.schedule_cycles");
-  iterations.add();
-  cycles.add(kernel_->schedule.length);
-  attribution_counters_.add_iterations(1);
 }
 
 }  // namespace citl::cgra

@@ -1,39 +1,28 @@
-// CGRA machine: executes a compiled kernel.
+// The model-facing interface of a kernel-executing machine.
 //
-// Two execution modes with identical results (a tested invariant):
-//   * functional  — evaluates the dataflow graph in topological order; fast,
-//                   used for long closed-loop runs,
-//   * cycle-accurate — walks the schedule cycle by cycle, issuing each
-//                   operation on its PE at its context slot and committing
-//                   results at op latency; IO hits the bus at the scheduled
-//                   cycle. This mode is the software twin of the overlay and
-//                   provides the deterministic timing the paper relies on.
+// cgra::BatchedCgraMachine (batch.hpp) is the one engine that executes a
+// compiled kernel; hil::TurnLoop, hil::Framework, the sweep engine and the
+// oracle drive it — and the oracle's host reference model — through the
+// BeamModel interface below, so a loop body is agnostic about whether it owns
+// a one-lane engine or one lane of a shared batch.
 //
 // Arithmetic is performed in IEEE binary32 by default — the overlay's PEs
 // are single-precision floating-point operators — with an optional binary64
 // mode for precision studies.
 //
-// Model-facing API: parameters and loop-carried states are addressed through
-// ParamHandle / StateHandle, resolved once from the kernel. The string
-// overloads resolve a handle and delegate; they exist for interactive use
-// (console, tests) and must stay off per-revolution hot paths.
+// Parameters and loop-carried states are addressed through ParamHandle /
+// StateHandle, resolved once from the kernel. Interactive callers (console,
+// RPC) resolve by name per call through the citl::api helpers instead, and
+// must stay off per-revolution hot paths.
 #pragma once
 
-#include <array>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "cgra/attribution.hpp"
 #include "cgra/exec_tier.hpp"
 #include "cgra/schedule.hpp"
 #include "cgra/sensor.hpp"
 
 namespace citl::cgra {
-
-class BytecodeProgram;  // bytecode.hpp
-class NativeKernel;     // codegen.hpp
 
 enum class Precision { kFloat32, kFloat64 };
 
@@ -64,29 +53,25 @@ struct StateHandle {
                                      std::string_view name) noexcept;
 
 namespace detail {
-/// Shared ConfigError construction for every kernel-executing machine, so a
-/// stale handle or an out-of-range lane reports identically (kernel + key
-/// naming) whether CgraMachine or BatchedCgraMachine raised it — and the
-/// string-keyed wrappers, which resolve through param_handle/state_handle,
-/// report identically to a direct handle lookup.
+/// Shared ConfigError construction for every BeamModel, so a stale handle or
+/// an out-of-range lane reports identically (kernel + key naming) whichever
+/// model raised it.
 [[noreturn]] void throw_invalid_handle(const CompiledKernel& kernel,
                                        const char* what);
 [[noreturn]] void throw_lane_out_of_range(const CompiledKernel& kernel,
                                           std::size_t lane, std::size_t lanes);
 }  // namespace detail
 
-/// Common interface of the kernel-executing machines: CgraMachine is the
-/// single-lane implementation, BatchedCgraMachine (batch.hpp) runs N lanes
-/// of the same kernel in lockstep. hil::Framework, hil::TurnLoop and the
-/// sweep engine drive models through this interface so a loop body is
-/// agnostic about whether it owns lane 0 of a batch or a whole machine.
+/// Common interface of the models that execute a kernel: the CGRA engine
+/// (BatchedCgraMachine, N lanes of one kernel in lockstep) and the oracle's
+/// host-f64 reference model.
 class BeamModel {
  public:
   virtual ~BeamModel() = default;
 
   [[nodiscard]] virtual const CompiledKernel& kernel() const noexcept = 0;
   /// Number of independent lanes (scenarios) this model executes per
-  /// iteration. CgraMachine: always 1.
+  /// iteration.
   [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
 
   /// The execution tier this model actually runs (kAuto and the no-compiler
@@ -150,99 +135,6 @@ class BeamModel {
   [[nodiscard]] StateHandle state_handle(std::string_view name) const {
     return cgra::state_handle(kernel(), name);
   }
-};
-
-class CgraMachine final : public BeamModel {
- public:
-  /// The machine keeps a reference to the kernel and the bus; both must
-  /// outlive it. `tier` picks the execution back end for the functional
-  /// path (exec_tier.hpp); the cycle-accurate path always interprets.
-  CgraMachine(const CompiledKernel& kernel, SensorBus& bus,
-              Precision precision = Precision::kFloat32,
-              ExecTier tier = ExecTier::kInterpreter);
-  ~CgraMachine() override;
-
-  /// Resets states to their initial values and clears pipeline registers.
-  void reset() override;
-
-  // --- handle-based access (the hot-path API) -----------------------------
-  void set_param(ParamHandle h, double value, std::size_t lane = 0) override;
-  [[nodiscard]] double param(ParamHandle h,
-                             std::size_t lane = 0) const override;
-  void set_state(StateHandle h, double value, std::size_t lane = 0) override;
-  [[nodiscard]] double state(StateHandle h,
-                             std::size_t lane = 0) const override;
-
-  void snapshot_states(std::size_t lane, double* out) const override;
-  void restore_states(std::size_t lane, const double* values) override;
-  void snapshot_pipe_regs(std::size_t lane, double* out) const override;
-  void restore_pipe_regs(std::size_t lane, const double* values) override;
-
-  // --- string-keyed access (deprecated wrappers) --------------------------
-  // Resolve a handle per call and delegate. Deprecated: use
-  // param_handle()/state_handle() on hot paths, or the citl::api by-name
-  // helpers (api/api.hpp) for interactive/RPC access — they carry the same
-  // per-call-resolution semantics without pinning callers to CgraMachine.
-  [[deprecated("use param_handle()/set_param(handle,...) or "
-               "api::set_kernel_param")]]
-  void set_param(const std::string& name, double value);
-  [[deprecated("use param_handle()/param(handle,...) or api::kernel_param")]]
-  [[nodiscard]] double param(const std::string& name) const;
-  [[deprecated("use state_handle()/state(handle,...) or api::kernel_state")]]
-  [[nodiscard]] double state(const std::string& name) const;
-  [[deprecated("use state_handle()/set_state(handle,...) or "
-               "api::set_kernel_state")]]
-  void set_state(const std::string& name, double value);
-
-  /// Runs one loop iteration functionally.
-  void run_iteration();
-
-  unsigned run_iteration_all_lanes() override {
-    run_iteration();
-    return kernel_->schedule.length;
-  }
-
-  /// Runs one loop iteration cycle-by-cycle; returns the number of CGRA
-  /// clock ticks consumed (== schedule length).
-  unsigned run_iteration_cycle_accurate();
-
-  /// Value computed for `node` in the most recent iteration.
-  [[nodiscard]] double value(NodeId node) const;
-
-  [[nodiscard]] std::uint64_t iterations() const noexcept {
-    return iterations_;
-  }
-  [[nodiscard]] const CompiledKernel& kernel() const noexcept override {
-    return *kernel_;
-  }
-  [[nodiscard]] std::size_t lanes() const noexcept override { return 1; }
-  [[nodiscard]] ExecTier exec_tier() const noexcept override { return tier_; }
-
- private:
-  void run_iteration_interpreted();
-  [[nodiscard]] double eval(const Node& n, double a, double b, double c);
-  [[nodiscard]] double operand(NodeId consumer, NodeId producer) const;
-  void commit_iteration();
-  [[nodiscard]] double quantise(double v) const noexcept;
-  void check_lane(std::size_t lane) const;
-
-  const CompiledKernel* kernel_;
-  SensorBus* bus_;
-  Precision precision_;
-  std::vector<double> values_;      ///< current-iteration node results
-  std::vector<double> pipe_regs_;   ///< previous-iteration stage-0 results
-  std::vector<double> state_vals_;  ///< current state values (by state index)
-  std::vector<double> param_vals_;  ///< current param values (by param index)
-  std::vector<NodeId> topo_;
-  std::vector<int> param_slot_;     ///< node id -> param index (or -1)
-  std::vector<int> state_slot_;     ///< node id -> state index (or -1)
-  std::uint64_t iterations_ = 0;
-  AttributionCounters attribution_counters_;  ///< per-op cycle metrics
-  ExecTier tier_ = ExecTier::kInterpreter;    ///< resolved (never kAuto)
-  std::unique_ptr<BytecodeProgram> bytecode_;
-  std::shared_ptr<const NativeKernel> native_;
-  std::array<float, 4> scratch_f_{};   ///< single-lane CORDIC scratch
-  std::array<double, 4> scratch_d_{};
 };
 
 }  // namespace citl::cgra

@@ -159,7 +159,7 @@ Framework::Framework(const FrameworkConfig& config,
       beam_trace_("beam_v", 1, 1u << 20) {
   CITL_CHECK_MSG(kernel_ != nullptr, "Framework needs a compiled kernel");
   bus_ = std::make_unique<FrameworkBus>(*this);
-  machine_ = std::make_unique<cgra::CgraMachine>(
+  machine_ = std::make_unique<cgra::BatchedCgraMachine>(
       *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
   exec_model_ = machine_.get();
   control_on_ = config.control_enabled;

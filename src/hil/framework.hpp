@@ -23,8 +23,8 @@
 #include <optional>
 #include <vector>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/jump.hpp"
@@ -108,7 +108,8 @@ class Framework {
   /// kernel must equal `compile_kernel(beam_kernel_source(
   /// effective_kernel_config(config)), config.arch)` — scenario sweeps use
   /// this with a kernel cache so a hundred frameworks share one compilation.
-  /// Each framework still owns its private CgraMachine (all mutable state).
+  /// Each framework still owns its private one-lane engine (all mutable
+  /// state).
   Framework(const FrameworkConfig& config,
             std::shared_ptr<const cgra::CompiledKernel> kernel);
   ~Framework();
@@ -155,7 +156,7 @@ class Framework {
   /// Points the injector's state faults and the supervisor's state guard at
   /// the model that actually executes this framework's kernel — call after
   /// attaching the bus to lane `lane` of a batched machine. The owned
-  /// CgraMachine (lane 0) is the default.
+  /// one-lane engine is the default.
   void attach_cgra_model(cgra::BeamModel& model, std::size_t lane);
 
   /// The fault injector driving this run (nullptr on a fault-free run).
@@ -190,7 +191,9 @@ class Framework {
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
     return *kernel_;
   }
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
+  [[nodiscard]] cgra::BatchedCgraMachine& machine() noexcept {
+    return *machine_;
+  }
   [[nodiscard]] ParameterBus& params() noexcept { return params_; }
   [[nodiscard]] const FrameworkConfig& config() const noexcept {
     return config_;
@@ -235,7 +238,7 @@ class Framework {
   FrameworkConfig config_;
   std::shared_ptr<const cgra::CompiledKernel> kernel_;
   std::unique_ptr<FrameworkBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;
+  std::unique_ptr<cgra::BatchedCgraMachine> machine_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<Supervisor> supervisor_;
   cgra::BeamModel* exec_model_ = nullptr;  ///< model executing this lane

@@ -66,7 +66,7 @@ RampLoop::RampLoop(const RampLoopConfig& config) : config_(config) {
   kernel_ = cgra::compile_kernel(cgra::ramp_beam_kernel_source(kc),
                                  config.arch, "beam_ramp");
   bus_ = std::make_unique<RampBus>(kc.sample_rate_hz, kc.ring.harmonic);
-  machine_ = std::make_unique<cgra::CgraMachine>(kernel_, *bus_);
+  machine_ = std::make_unique<cgra::BatchedCgraMachine>(kernel_, *bus_);
   h_dt0_ = cgra::state_handle(kernel_, "dt0");
   h_dgamma0_ = cgra::state_handle(kernel_, "dgamma0");
 }
@@ -79,8 +79,8 @@ double RampLoop::f_ref_hz() const noexcept {
 }
 
 void RampLoop::displace(double dgamma, double dt_s) {
-  machine_->set_state(h_dgamma0_, dgamma);
-  machine_->set_state(h_dt0_, dt_s);
+  machine_->set_state(h_dgamma0_, dgamma, 0);
+  machine_->set_state(h_dt0_, dt_s, 0);
 }
 
 RampRecord RampLoop::step() {
@@ -125,8 +125,8 @@ RampRecord RampLoop::step() {
   r.f_ref_hz = f_now;
   r.gap_amplitude_v = vhat;
   r.sync_phase_rad = phi_s;
-  r.dt_s = machine_->state(h_dt0_);
-  r.dgamma = machine_->state(h_dgamma0_);
+  r.dt_s = machine_->state(h_dt0_, 0);
+  r.dgamma = machine_->state(h_dgamma0_, 0);
   const double bucket_half = 0.5 * t_rev / ring.harmonic;
   r.bucket_fill = std::abs(r.dt_s) / bucket_half;
   return r;

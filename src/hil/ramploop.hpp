@@ -16,8 +16,8 @@
 #include <functional>
 #include <memory>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "phys/rf.hpp"
 
@@ -71,7 +71,9 @@ class RampLoop {
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
     return kernel_;
   }
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
+  [[nodiscard]] cgra::BatchedCgraMachine& machine() noexcept {
+    return *machine_;
+  }
 
  private:
   class RampBus;
@@ -79,7 +81,7 @@ class RampLoop {
   RampLoopConfig config_;
   cgra::CompiledKernel kernel_;
   std::unique_ptr<RampBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;
+  std::unique_ptr<cgra::BatchedCgraMachine> machine_;
   cgra::StateHandle h_dt0_;
   cgra::StateHandle h_dgamma0_;
   double time_s_ = 0.0;

@@ -105,6 +105,15 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config)
 
 TurnLoop::TurnLoop(const TurnLoopConfig& config,
                    std::shared_ptr<const cgra::CompiledKernel> kernel)
+    : TurnLoop(config, std::move(kernel), ExternalModel{}) {
+  machine_ = std::make_unique<cgra::BatchedCgraMachine>(
+      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
+  attach_model(*machine_, 0);
+}
+
+TurnLoop::TurnLoop(const TurnLoopConfig& config,
+                   std::shared_ptr<const cgra::CompiledKernel> kernel,
+                   ExternalModel)
     : config_(config),
       controller_(config.controller),
       decimator_(static_cast<std::size_t>(
@@ -129,9 +138,6 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config,
                                        config.gap_amplitude_v,
                                        config.gap_h2_ratio,
                                        config.gap_h2_phase_rad);
-  machine_ = std::make_unique<cgra::CgraMachine>(
-      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
-  model_ = machine_.get();
 
   h_v_hat_ = cgra::find_param(*kernel_, "v_hat");
   h_gap_phase_ = cgra::find_param(*kernel_, "gap_phase");
@@ -150,21 +156,7 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config,
     injector_->resolve_targets(*kernel_);
   }
   if (config.supervisor.enabled) {
-    supervisor_ = std::make_unique<Supervisor>(config.supervisor);
-    supervisor_->attach_model(*machine_, 0);
-  }
-}
-
-TurnLoop::TurnLoop(const TurnLoopConfig& config,
-                   std::shared_ptr<const cgra::CompiledKernel> kernel,
-                   ExternalModel)
-    : TurnLoop(config, std::move(kernel)) {
-  // Drop the owned machine: execution happens through an attached lane.
-  machine_.reset();
-  model_ = nullptr;
-  if (supervisor_ != nullptr) {
-    // Fresh supervisor without a model: attach_model() points its state
-    // guard at the shared lane (no turn has run yet, so nothing is lost).
+    // attach_model() points the supervisor's state guard at the model lane.
     supervisor_ = std::make_unique<Supervisor>(config.supervisor);
   }
 }

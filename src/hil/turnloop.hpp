@@ -22,8 +22,8 @@
 #include <optional>
 #include <vector>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "core/random.hpp"
 #include "ctrl/controller.hpp"
@@ -140,9 +140,8 @@ class TurnLoop {
 
   [[nodiscard]] double time_s() const noexcept { return time_s_; }
   [[nodiscard]] std::int64_t turn() const noexcept { return turn_; }
-  /// Owned machine (null in ExternalModel mode — only call on owned loops).
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
-  /// The model executing this loop's kernel (owned machine or attached lane).
+  /// The model executing this loop's kernel (owned one-lane engine or
+  /// attached lane).
   [[nodiscard]] cgra::BeamModel& model() noexcept { return *model_; }
   [[nodiscard]] std::size_t lane() const noexcept { return lane_; }
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
@@ -223,8 +222,8 @@ class TurnLoop {
   TurnLoopConfig config_;
   std::shared_ptr<const cgra::CompiledKernel> kernel_;
   std::unique_ptr<AnalyticBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;  ///< null in ExternalModel mode
-  cgra::BeamModel* model_ = nullptr;            ///< machine_ or attached lane
+  std::unique_ptr<cgra::BatchedCgraMachine> machine_;  ///< null if external
+  cgra::BeamModel* model_ = nullptr;  ///< machine_ or attached lane
   std::size_t lane_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<Supervisor> supervisor_;

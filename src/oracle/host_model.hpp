@@ -6,7 +6,7 @@
 // shares nothing with the CGRA toolchain except the bus protocol and the
 // CORDIC primitive (the trig tables are the PE's *specification*, not part
 // of the machinery under test) — so any divergence implicates the frontend,
-// the scheduler, the interpreters or the kernel generator, not this model.
+// the scheduler, the engine or the kernel generator, not this model.
 //
 // The C++ expressions mirror the generated kernel source operation for
 // operation in the same association order. Because every machine operator in

@@ -102,7 +102,7 @@ class FidelityRun {
       case Fidelity::kSerialF64: {
         auto& loop = *loops_.emplace_back(std::make_unique<TurnLoop>(
             config, kernel_, TurnLoop::ExternalModel{}));
-        model_ = std::make_unique<cgra::CgraMachine>(
+        model_ = std::make_unique<cgra::BatchedCgraMachine>(
             *kernel_, loop.cgra_bus(), cgra::Precision::kFloat64,
             config.exec_tier);
         loop.attach_model(*model_, 0);
@@ -238,7 +238,6 @@ void append_budget_json(io::JsonWriter& w, const char* name,
 }
 
 void write_artifacts(OracleReport& report,
-                     const hil::TurnLoopConfig& loop_config,
                      const OracleConfig& oracle_config,
                      const ToleranceBudget& budget,
                      const std::string& candidate_kernel_name) {
@@ -631,8 +630,7 @@ OracleReport run_oracle(const hil::TurnLoopConfig& loop_config,
   }
 
   if (report.diverged && !oracle_config.artifact_dir.empty()) {
-    write_artifacts(report, loop_config, oracle_config, budget,
-                    candidate_kernel->name);
+    write_artifacts(report, oracle_config, budget, candidate_kernel->name);
   }
 
   return report;

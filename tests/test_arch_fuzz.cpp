@@ -7,7 +7,7 @@
 #include "cgra/kernels.hpp"
 #include "cgra/lower.hpp"
 #include "api/api.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 #include "core/random.hpp"
@@ -72,14 +72,13 @@ TEST_P(ArchFuzz, BeamKernelSchedulesCleanlyOnRandomArchitectures) {
   k.arch = arch;
   k.schedule = sched;
   NullSensorBus bus;
-  CgraMachine mf(k, bus), mc(k, bus);
+  BatchedCgraMachine mf(k, bus), mc(k, bus);
   for (int i = 0; i < 5; ++i) {
     mf.run_iteration();
     mc.run_iteration_cycle_accurate();
   }
   for (const auto& s : dfg.states()) {
-    EXPECT_DOUBLE_EQ(api::kernel_state(mf, s.name),
-                     api::kernel_state(mc, s.name))
+    EXPECT_EQ(api::kernel_state(mf, s.name), api::kernel_state(mc, s.name))
         << s.name;
   }
 }

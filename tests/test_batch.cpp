@@ -1,7 +1,8 @@
-// Batched lane-parallel CGRA execution: bit-identity of every lane to a
-// single-lane CgraMachine (per kernel, per precision, functional and
-// cycle-accurate), lane masking, the handle-based model API, unified error
-// reporting, and byte-identity of batched sweep reports.
+// Lane-parallel CGRA execution: bit-identity of every lane to one-lane
+// references (values, states and pipeline registers against the
+// cycle-accurate walk, bus write order against the one-lane interpreter; per
+// kernel, per precision), lane masking, the handle-based model API, unified
+// error reporting, and byte-identity of batched sweep reports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,13 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "ctrl/jump.hpp"
+#include "engine_check.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
@@ -23,43 +25,7 @@
 namespace citl::cgra {
 namespace {
 
-/// Deterministic per-lane bus: reads are a pure function of (lane, region,
-/// offset) — so execution order and skipped revolutions cannot change what a
-/// lane observes — and writes are logged in issue order.
-class LaneFnBus final : public SensorBus {
- public:
-  explicit LaneFnBus(std::size_t lane) : lane_(lane) {}
-
-  double read(SensorRegion region, double offset) override {
-    return read_value(lane_, region, offset);
-  }
-  void write(SensorRegion region, double offset, double value) override {
-    log.push_back({region, offset, value});
-  }
-
-  static double read_value(std::size_t lane, SensorRegion region,
-                           double offset) {
-    if (region == SensorRegion::kPeriod) {
-      // ~800 kHz revolution, slightly detuned per lane (keeps beta < 1 for
-      // the kernels that re-derive gamma from the measured period).
-      return 1.25e-6 * (1.0 + 1.0e-4 * static_cast<double>(lane));
-    }
-    // Buffer samples: a bounded, smooth, lane-dependent waveform.
-    const double r = region == SensorRegion::kRefBuf ? 0.0 : 1.0;
-    return 0.8 * std::sin(0.37 * offset + 0.11 * static_cast<double>(lane) +
-                          0.5 * r);
-  }
-
-  struct Entry {
-    SensorRegion region;
-    double offset;
-    double value;
-  };
-  std::vector<Entry> log;
-
- private:
-  std::size_t lane_;
-};
+using test_support::LaneFnBus;
 
 struct KernelCase {
   std::string label;
@@ -95,115 +61,32 @@ std::vector<KernelCase> kernel_cases() {
   return cases;
 }
 
-/// Gives every lane distinct state/param values so the lanes actually
-/// diverge; applied identically to serial machines (write_lane = 0) and
-/// batched lanes (write_lane = scenario). `scenario` picks the values.
-void perturb_lane(BeamModel& model, std::size_t write_lane,
-                  std::size_t scenario) {
-  const Dfg& dfg = model.kernel().dfg;
-  for (std::size_t i = 0; i < dfg.states().size(); ++i) {
-    model.set_state(StateHandle{static_cast<int>(i)},
-                    dfg.states()[i].initial +
-                        1.0e-3 * static_cast<double>(scenario * (i + 1)),
-                    write_lane);
-  }
-  for (std::size_t i = 0; i < dfg.params().size(); ++i) {
-    model.set_param(ParamHandle{static_cast<int>(i)},
-                    dfg.params()[i].default_value *
-                        (1.0 + 0.01 * static_cast<double>(scenario)),
-                    write_lane);
-  }
-}
-
-void expect_lockstep_matches_serial(const CompiledKernel& kernel,
-                                    Precision precision,
-                                    bool serial_cycle_accurate) {
-  constexpr std::size_t kLanes = 5;
-  constexpr int kIterations = 40;
-
-  // Serial references: one CgraMachine per lane.
-  std::vector<std::unique_ptr<LaneFnBus>> serial_buses;
-  std::vector<std::unique_ptr<CgraMachine>> serial;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    serial_buses.push_back(std::make_unique<LaneFnBus>(lane));
-    serial.push_back(
-        std::make_unique<CgraMachine>(kernel, *serial_buses[lane], precision));
-    perturb_lane(*serial[lane], 0, lane);
-  }
-  for (int it = 0; it < kIterations; ++it) {
-    for (auto& m : serial) {
-      if (serial_cycle_accurate) {
-        EXPECT_EQ(m->run_iteration_cycle_accurate(), kernel.schedule.length);
-      } else {
-        m->run_iteration();
-      }
-    }
-  }
-
-  // Batched run of the same lanes.
-  std::vector<std::unique_ptr<LaneFnBus>> lane_buses;
-  std::vector<SensorBus*> bus_ptrs;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    lane_buses.push_back(std::make_unique<LaneFnBus>(lane));
-    bus_ptrs.push_back(lane_buses[lane].get());
-  }
-  PerLaneBusAdapter adapter(std::move(bus_ptrs));
-  BatchedCgraMachine batched(kernel, kLanes, adapter, precision);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    perturb_lane(batched, lane, lane);
-  }
-  for (int it = 0; it < kIterations; ++it) {
-    EXPECT_EQ(batched.run_iteration_all_lanes(), kernel.schedule.length);
-  }
-
-  // Every lane's loop-carried states must match the serial machine exactly
-  // (EXPECT_EQ on doubles is bit-meaningful here: identical arithmetic).
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    for (std::size_t i = 0; i < kernel.dfg.states().size(); ++i) {
-      const StateHandle h{static_cast<int>(i)};
-      EXPECT_EQ(serial[lane]->state(h), batched.state(h, lane))
-          << "state '" << kernel.dfg.states()[i].name << "' lane " << lane;
-    }
-    if (!serial_cycle_accurate) {
-      // Functional mode issues bus traffic in topological order on both
-      // paths, so each lane's write log must match entry for entry. (The
-      // cycle-accurate schedule orders IO differently; its write *values*
-      // are covered by the state comparison above.)
-      ASSERT_EQ(serial_buses[lane]->log.size(), lane_buses[lane]->log.size());
-      for (std::size_t w = 0; w < serial_buses[lane]->log.size(); ++w) {
-        EXPECT_EQ(serial_buses[lane]->log[w].region,
-                  lane_buses[lane]->log[w].region);
-        EXPECT_EQ(serial_buses[lane]->log[w].offset,
-                  lane_buses[lane]->log[w].offset);
-        EXPECT_EQ(serial_buses[lane]->log[w].value,
-                  lane_buses[lane]->log[w].value)
-            << "write " << w << " lane " << lane;
-      }
-    }
-  }
-}
-
+// Every lane against its own one-lane references (engine_check.hpp): node
+// values, states and pipeline registers against the cycle-accurate walk,
+// the bus write log against the interpreter; full-width and masked steps.
 TEST(Batch, LockstepMatchesSerialEveryKernelFloat32) {
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    expect_lockstep_matches_serial(c.kernel, Precision::kFloat32, false);
+    test_support::check_engine_against_one_lane(
+        c.kernel, 5, ExecTier::kInterpreter, Precision::kFloat32, 40);
   }
 }
 
 TEST(Batch, LockstepMatchesSerialEveryKernelFloat64) {
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    expect_lockstep_matches_serial(c.kernel, Precision::kFloat64, false);
+    test_support::check_engine_against_one_lane(
+        c.kernel, 5, ExecTier::kInterpreter, Precision::kFloat64, 40);
   }
 }
 
 TEST(Batch, LockstepMatchesCycleAccurateSingleLane) {
-  // The functional/cycle-accurate equivalence (a tested invariant of
-  // CgraMachine) extends to the batch: batched functional lanes equal a
-  // serial *cycle-accurate* machine bit for bit.
+  // The functional/cycle-accurate equivalence holds at every width,
+  // including the one-lane engine every closed loop owns.
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    expect_lockstep_matches_serial(c.kernel, Precision::kFloat32, true);
+    test_support::check_engine_against_one_lane(
+        c.kernel, 1, ExecTier::kInterpreter, Precision::kFloat32, 40);
   }
 }
 
@@ -214,8 +97,9 @@ TEST(Batch, PartialLanesMatchSerialAndPreserveParkedState) {
   const CompiledKernel kernel =
       compile_kernel(beam_kernel_source(kc), grid_5x5(), "beam_sampled");
 
+  // One-lane cycle-accurate references.
   LaneFnBus serial_bus0(0), serial_bus1(1);
-  CgraMachine m0(kernel, serial_bus0), m1(kernel, serial_bus1);
+  BatchedCgraMachine m0(kernel, serial_bus0), m1(kernel, serial_bus1);
 
   LaneFnBus b0(0), b1(1);
   PerLaneBusAdapter adapter({&b0, &b1});
@@ -228,24 +112,24 @@ TEST(Batch, PartialLanesMatchSerialAndPreserveParkedState) {
     const bool lane1_runs = round % 3 == 0;
     if (lane1_runs) {
       batched.run_iteration_all_lanes();
-      m0.run_iteration();
-      m1.run_iteration();
+      m0.run_iteration_cycle_accurate();
+      m1.run_iteration_cycle_accurate();
     } else {
       const std::uint32_t only0 = 0;
       batched.run_iteration_lanes(&only0, 1);
-      m0.run_iteration();
+      m0.run_iteration_cycle_accurate();
     }
     if (round == 10) {
       // External writes to the parked lane must survive masked iterations.
       batched.set_state(dt0, 123.0e-9, 1);
-      m1.set_state(dt0, 123.0e-9);
+      m1.set_state(dt0, 123.0e-9, 0);
     }
   }
 
   for (std::size_t i = 0; i < kernel.dfg.states().size(); ++i) {
     const StateHandle h{static_cast<int>(i)};
-    EXPECT_EQ(m0.state(h), batched.state(h, 0));
-    EXPECT_EQ(m1.state(h), batched.state(h, 1));
+    EXPECT_EQ(m0.state(h, 0), batched.state(h, 0));
+    EXPECT_EQ(m1.state(h, 0), batched.state(h, 1));
   }
   EXPECT_EQ(batched.lane_iterations()[0], 30u);
   EXPECT_EQ(batched.lane_iterations()[1], 10u);
@@ -298,7 +182,7 @@ TEST(Batch, ErrorsNameKernelAndOffendingKey) {
       "n = n + 1.0;\n",
       grid_3x3(), "counter_kernel");
   NullSensorBus null_bus;
-  CgraMachine m(k, null_bus);
+  BatchedCgraMachine m(k, null_bus);
 
   // Unknown names: ConfigError carrying the kernel name and the key, and
   // catchable through the citl::Error base.
@@ -311,13 +195,8 @@ TEST(Batch, ErrorsNameKernelAndOffendingKey) {
     EXPECT_NE(what.find("counter_kernel"), std::string::npos) << what;
   }
   EXPECT_THROW((void)state_handle(k, "missing_state"), ConfigError);
-  // Deliberate deprecated-wrapper calls: parity of their errors with the
-  // handle path is part of the contract until the wrappers are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(m.set_param("missing_param", 1.0), Error);
-  EXPECT_THROW((void)m.state("missing_state"), Error);
-#pragma GCC diagnostic pop
+  EXPECT_THROW(api::set_kernel_param(m, "missing_param", 1.0), Error);
+  EXPECT_THROW((void)api::kernel_state(m, "missing_state"), Error);
 
   // Lane-count mismatches name the kernel and the offending lane count.
   const StateHandle n = m.state_handle("n");
@@ -347,12 +226,12 @@ TEST(Batch, BeamModelInterfaceIsUniform) {
       "n = n + 1.0;\n",
       grid_3x3(), "counter_kernel");
   NullSensorBus null_bus;
-  CgraMachine single(k, null_bus);
+  BatchedCgraMachine single(k, null_bus);
   LaneFnBus bus0(0), bus1(1), bus2(2);
   PerLaneBusAdapter adapter({&bus0, &bus1, &bus2});
   BatchedCgraMachine batch(k, 3, adapter);
 
-  // A loop written against BeamModel runs unchanged on either machine.
+  // A loop written against BeamModel runs unchanged at any width.
   const auto drive = [](BeamModel& model) {
     const StateHandle n = model.state_handle("n");
     for (std::size_t lane = 0; lane < model.lanes(); ++lane) {

@@ -7,7 +7,7 @@
 #include "cgra/bitstream.hpp"
 #include "cgra/kernels.hpp"
 #include "api/api.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 
@@ -72,18 +72,17 @@ TEST(Bitstream, LoadedKernelExecutesIdentically) {
     double last = 0.0;
   };
   Bus ba, bb;
-  CgraMachine ma(original, ba);
-  CgraMachine mb(loaded, bb);
+  BatchedCgraMachine ma(original, ba);
+  BatchedCgraMachine mb(loaded, bb);
   for (int i = 0; i < 100; ++i) {
     ma.run_iteration();
     mb.run_iteration_cycle_accurate();  // and across execution modes
   }
   for (const auto& s : original.dfg.states()) {
-    EXPECT_DOUBLE_EQ(api::kernel_state(ma, s.name),
-                     api::kernel_state(mb, s.name))
+    EXPECT_EQ(api::kernel_state(ma, s.name), api::kernel_state(mb, s.name))
         << s.name;
   }
-  EXPECT_DOUBLE_EQ(ba.last, bb.last);
+  EXPECT_EQ(ba.last, bb.last);
 }
 
 TEST(Bitstream, FileRoundTrip) {

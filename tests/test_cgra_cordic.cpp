@@ -6,7 +6,7 @@
 
 #include "cgra/kernels.hpp"
 #include "cgra/lower.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "api/api.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
@@ -27,7 +27,7 @@ double run_trig(const char* fn, double angle, Precision precision) {
                           "out = " + fn + "(a);\n";
   const CompiledKernel k = compile_kernel(src, arch);
   NullSensorBus bus;
-  CgraMachine m(k, bus, precision);
+  BatchedCgraMachine m(k, bus, precision);
   api::set_kernel_param(m, "a", angle);
   m.run_iteration();
   return api::kernel_state(m, "out");

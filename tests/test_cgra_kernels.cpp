@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
+#include "cgra/batch.hpp"
 #include "api/api.hpp"
 #include "cgra/schedule.hpp"
 #include "core/units.hpp"
@@ -124,7 +124,7 @@ TEST(BeamKernel, TracksLikeReferenceMapInFloat64) {
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, ring.harmonic, adc_amp);
   bus.gap_phase_rad = deg_to_rad(8.0);  // excite an oscillation
-  CgraMachine m(k, bus, Precision::kFloat64);
+  BatchedCgraMachine m(k, bus, Precision::kFloat64);
 
   phys::TwoParticleTracker ref(ion, ring, gamma0);
   const double omega_gap = kTwoPi * ring.harmonic * f_ref;
@@ -157,8 +157,8 @@ TEST(BeamKernel, Float32PrecisionStaysUsable) {
   SineBus bus32(f_ref, kc.sample_rate_hz, 4, 0.8);
   SineBus bus64(f_ref, kc.sample_rate_hz, 4, 0.8);
   bus32.gap_phase_rad = bus64.gap_phase_rad = deg_to_rad(8.0);
-  CgraMachine m32(k, bus32, Precision::kFloat32);
-  CgraMachine m64(k, bus64, Precision::kFloat64);
+  BatchedCgraMachine m32(k, bus32, Precision::kFloat32);
+  BatchedCgraMachine m64(k, bus64, Precision::kFloat64);
   for (int i = 0; i < 2000; ++i) {
     m32.run_iteration();
     m64.run_iteration();
@@ -178,7 +178,7 @@ TEST(BeamKernel, MultiBunchBucketsAreIndependent) {
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, 4, 0.8);
   bus.gap_phase_rad = deg_to_rad(5.0);
-  CgraMachine m(k, bus, Precision::kFloat64);
+  BatchedCgraMachine m(k, bus, Precision::kFloat64);
   for (int i = 0; i < 500; ++i) m.run_iteration();
   for (int j = 1; j < 4; ++j) {
     EXPECT_NEAR(api::kernel_state(m, "dt" + std::to_string(j)), api::kernel_state(m, "dt0"),
@@ -194,7 +194,7 @@ TEST(BeamKernel, ActuatorWriteIsArrivalTime) {
   kc.v_scale = 4860.0 / 0.8;
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, 4, 0.8);
-  CgraMachine m(k, bus, Precision::kFloat64);
+  BatchedCgraMachine m(k, bus, Precision::kFloat64);
   m.run_iteration();
   // Arrival = dT + dt. With exact period and no excitation both are ~0.
   EXPECT_NEAR(bus.last_arrival_s, 0.0, 1e-11);
@@ -203,7 +203,7 @@ TEST(BeamKernel, ActuatorWriteIsArrivalTime) {
 TEST(DemoOscillator, RunsAndDecays) {
   const CompiledKernel k = compile_kernel(demo_oscillator_source(), grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   double first_amp = 0.0, last_amp = 0.0;
   for (int i = 0; i < 2000; ++i) {
     m.run_iteration();

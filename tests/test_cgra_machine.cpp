@@ -1,15 +1,14 @@
-// CGRA machine execution: functional vs cycle-accurate equivalence, state
-// and parameter handling, sensor bus interaction, float32 semantics.
+// The CGRA engine at one lane: functional vs cycle-accurate equivalence,
+// state and parameter handling, sensor bus interaction, float32 semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <vector>
 
+#include "api/api.hpp"
 #include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
-#include "api/api.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 
@@ -44,7 +43,7 @@ TEST(Machine, CountsToTen) {
       "n = n + 1.0;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   for (int i = 0; i < 10; ++i) m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "n"), 10.0);
   EXPECT_EQ(m.iterations(), 10u);
@@ -56,7 +55,7 @@ TEST(Machine, ResetRestoresInitialState) {
       "n = n * 2.0;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "n"), 10.0);
   m.reset();
@@ -71,7 +70,7 @@ TEST(Machine, ParamsAreRuntimeSettable) {
       "y = y * gain;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 2.0);
   api::set_kernel_param(m, "gain", 10.0);
@@ -88,29 +87,24 @@ TEST(Machine, StateOverride) {
       "x = x + 1.0;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   api::set_kernel_state(m, "x", 100.0);
   m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "x"), 101.0);
   EXPECT_THROW(api::set_kernel_state(m, "nope", 0.0), ConfigError);
 }
 
-// This test exercises the deprecated string-keyed wrappers on purpose:
-// it pins that they still report byte-identical errors to the handle path
-// until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(Machine, StringAndHandleApisReportIdenticalErrors) {
-  // The deprecated string-keyed wrappers resolve through param_handle /
-  // state_handle, so an unknown key must produce byte-identical ConfigError
-  // text on both paths — tooling greps these messages.
+  // The by-name helpers resolve through param_handle / state_handle, so an
+  // unknown key must produce byte-identical ConfigError text on both paths
+  // — tooling greps these messages.
   const CompiledKernel k = compile_kernel(
       "param float gain = 2.0;\n"
       "state float y = 1.0;\n"
       "y = y * gain;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   const auto message_of = [](const auto& fn) -> std::string {
     try {
       fn();
@@ -120,29 +114,26 @@ TEST(Machine, StringAndHandleApisReportIdenticalErrors) {
     return "<no ConfigError>";
   };
   const std::string via_string =
-      message_of([&] { m.set_param("nope", 0.0); });
+      message_of([&] { api::set_kernel_param(m, "nope", 0.0); });
   const std::string via_handle =
       message_of([&] { (void)param_handle(k, "nope"); });
   EXPECT_EQ(via_string, via_handle);
   EXPECT_NE(via_string, "<no ConfigError>");
-  EXPECT_EQ(message_of([&] { (void)m.state("missing"); }),
+  EXPECT_EQ(message_of([&] { (void)api::kernel_state(m, "missing"); }),
             message_of([&] { (void)state_handle(k, "missing"); }));
 
-  // Stale-handle and lane errors must also match between the single-lane
-  // machine and the batched machine (modulo the lane count it reports).
-  PerLaneBusAdapter lane_bus({&bus});
-  BatchedCgraMachine batch(k, 1, lane_bus);
-  const ParamHandle stale{99};
-  EXPECT_EQ(message_of([&] { m.set_param(stale, 1.0, 0); }),
-            message_of([&] { batch.set_param(stale, 1.0, 0); }));
-  const StateHandle stale_state{99};
-  EXPECT_EQ(message_of([&] { (void)m.state(stale_state, 0); }),
-            message_of([&] { (void)batch.state(stale_state, 0); }));
+  // Stale-handle and lane errors name the kernel and the offending key or
+  // lane count, whatever the engine's width.
+  EXPECT_NE(message_of([&] { m.set_param(ParamHandle{99}, 1.0, 0); })
+                .find("invalid parameter handle"),
+            std::string::npos);
+  EXPECT_NE(message_of([&] { (void)m.state(StateHandle{99}, 0); })
+                .find("invalid state handle"),
+            std::string::npos);
   const ParamHandle good = param_handle(k, "gain");
-  EXPECT_EQ(message_of([&] { (void)m.param(good, 1); }),
-            message_of([&] { (void)batch.param(good, 1); }));
+  EXPECT_NE(message_of([&] { (void)m.param(good, 1); }).find("(1 lane)"),
+            std::string::npos);
 }
-#pragma GCC diagnostic pop
 
 TEST(Machine, ArithmeticOperators) {
   const CompiledKernel k = compile_kernel(
@@ -160,7 +151,7 @@ TEST(Machine, ArithmeticOperators) {
       "s = j + s * 0.0;\n",
       grid_5x5());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "s"), 7.0);
 }
@@ -178,7 +169,7 @@ TEST(Machine, SensorReadsAndWritesDecodeRegions) {
   bus.values[{SensorRegion::kPeriod, 0.0}] = 1.25e-6;
   bus.values[{SensorRegion::kRefBuf, 5.0}] = 0.25;
   bus.values[{SensorRegion::kGapBuf, -3.0}] = -0.125;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   m.run_iteration();
   ASSERT_EQ(bus.writes.size(), 1u);
   EXPECT_EQ(bus.writes[0].region, SensorRegion::kActuator);
@@ -197,7 +188,7 @@ TEST(Machine, StoresExecuteInProgramOrder) {
       grid_3x3());
   for (bool cycle_accurate : {false, true}) {
     ScriptedBus bus;
-    CgraMachine m(k, bus);
+    BatchedCgraMachine m(k, bus);
     if (cycle_accurate) {
       m.run_iteration_cycle_accurate();
     } else {
@@ -219,8 +210,8 @@ TEST(Machine, Float32QuantisationApplied) {
   // The machine holds a reference to the kernel — keep them alive.
   const CompiledKernel k32 = compile_kernel(src, grid_3x3());
   const CompiledKernel k64 = compile_kernel(src, grid_3x3());
-  CgraMachine m32(k32, bus, Precision::kFloat32);
-  CgraMachine m64(k64, bus, Precision::kFloat64);
+  BatchedCgraMachine m32(k32, bus, Precision::kFloat32);
+  BatchedCgraMachine m64(k64, bus, Precision::kFloat64);
   m32.run_iteration();
   m64.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m32, "s"), 1.0);
@@ -238,7 +229,7 @@ TEST(Machine, PipelinedKernelWarmupAndSteadyState) {
       "n = n + 1.0;\n",
       grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   m.run_iteration();  // stage 1 sees the pipeline register's reset value
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 0.0);
   m.run_iteration();
@@ -252,7 +243,7 @@ TEST(Machine, PipelinedKernelWarmupAndSteadyState) {
 TEST(Machine, CycleAccurateReturnsScheduleLength) {
   const CompiledKernel k = compile_kernel(demo_oscillator_source(), grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, bus);
   EXPECT_EQ(m.run_iteration_cycle_accurate(), k.schedule.length);
 }
 
@@ -292,15 +283,14 @@ TEST_P(ExecutionEquivalence, FunctionalEqualsCycleAccurate) {
   };
 
   WaveBus bus_f, bus_c;
-  CgraMachine mf(k, bus_f);
-  CgraMachine mc(k, bus_c);
+  BatchedCgraMachine mf(k, bus_f);
+  BatchedCgraMachine mc(k, bus_c);
   for (int i = 0; i < 50; ++i) {
     mf.run_iteration();
     mc.run_iteration_cycle_accurate();
   }
   for (const auto& s : k.dfg.states()) {
-    EXPECT_DOUBLE_EQ(api::kernel_state(mf, s.name),
-                     api::kernel_state(mc, s.name))
+    EXPECT_EQ(api::kernel_state(mf, s.name), api::kernel_state(mc, s.name))
         << s.name;
   }
   EXPECT_DOUBLE_EQ(bus_f.sum, bus_c.sum);

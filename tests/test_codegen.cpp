@@ -1,14 +1,14 @@
-// The kernel execution tiers (interpreter / bytecode VM / native codegen):
-// bit identity across every tier for every kernel and precision, the disk
-// cache's cold, warm and corrupt-artifact paths, the no-compiler fallback,
-// config threading over the wire, and the differential oracle bisecting over
-// natively compiled machines. Every suite name starts with "Codegen" so CI
-// can run the subsystem alone with --gtest_filter='Codegen*'.
+// The kernel execution tiers (interpreter / native codegen): bit identity
+// of the native tier for every kernel and precision at one lane and with
+// masked lanes, the disk cache's cold, warm and corrupt-artifact paths, the
+// no-compiler fallback, config threading over the wire, and the
+// differential oracle bisecting over natively compiled engines. Every lane
+// is held to the one-lane cycle-accurate walk (values and states) and the
+// one-lane interpreter (bus write order) — engine_check.hpp. Every suite
+// name starts with "Codegen" so CI can run the subsystem alone with
+// --gtest_filter='Codegen*'.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,11 +20,11 @@
 #include "cgra/batch.hpp"
 #include "cgra/codegen.hpp"
 #include "cgra/kernels.hpp"
-#include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "ctrl/jump.hpp"
+#include "engine_check.hpp"
 #include "hil/turnloop.hpp"
 #include "oracle/oracle.hpp"
 #include "phys/relativity.hpp"
@@ -34,54 +34,7 @@
 namespace citl::cgra {
 namespace {
 
-/// Deterministic bus: reads are a pure function of (lane, region, offset),
-/// writes are logged in issue order (same contract as test_batch.cpp).
-class FnBus final : public SensorBus {
- public:
-  explicit FnBus(std::size_t lane = 0) : lane_(lane) {}
-
-  double read(SensorRegion region, double offset) override {
-    if (region == SensorRegion::kPeriod) {
-      return 1.25e-6 * (1.0 + 1.0e-4 * static_cast<double>(lane_));
-    }
-    const double r = region == SensorRegion::kRefBuf ? 0.0 : 1.0;
-    return 0.8 * std::sin(0.37 * offset + 0.11 * static_cast<double>(lane_) +
-                          0.5 * r);
-  }
-  void write(SensorRegion region, double offset, double value) override {
-    log.push_back({region, offset, value});
-  }
-
-  struct Entry {
-    SensorRegion region;
-    double offset;
-    double value;
-  };
-  std::vector<Entry> log;
-
- private:
-  std::size_t lane_;
-};
-
-class LaneFnBus final : public LaneSensorBus {
- public:
-  explicit LaneFnBus(std::size_t lanes) : buses_() {
-    for (std::size_t l = 0; l < lanes; ++l) buses_.emplace_back(l);
-  }
-  double read(std::size_t lane, SensorRegion region, double offset) override {
-    return buses_[lane].read(region, offset);
-  }
-  void write(std::size_t lane, SensorRegion region, double offset,
-             double value) override {
-    buses_[lane].write(region, offset, value);
-  }
-  [[nodiscard]] const std::vector<FnBus::Entry>& log(std::size_t lane) const {
-    return buses_[lane].log;
-  }
-
- private:
-  std::vector<FnBus> buses_;
-};
+using test_support::check_engine_against_one_lane;
 
 struct KernelCase {
   std::string label;
@@ -115,108 +68,9 @@ std::vector<KernelCase> kernel_cases() {
   return cases;
 }
 
-void perturb_lane(BeamModel& model, std::size_t write_lane,
-                  std::size_t scenario) {
-  const Dfg& dfg = model.kernel().dfg;
-  for (std::size_t i = 0; i < dfg.states().size(); ++i) {
-    model.set_state(StateHandle{static_cast<int>(i)},
-                    dfg.states()[i].initial +
-                        1.0e-3 * static_cast<double>(scenario * (i + 1)),
-                    write_lane);
-  }
-  for (std::size_t i = 0; i < dfg.params().size(); ++i) {
-    model.set_param(ParamHandle{static_cast<int>(i)},
-                    dfg.params()[i].default_value *
-                        (1.0 + 0.01 * static_cast<double>(scenario)),
-                    write_lane);
-  }
-}
-
-void expect_double_eq_bits(double expected, double actual,
-                           const std::string& what) {
-  if (std::isnan(expected) && std::isnan(actual)) return;
-  EXPECT_EQ(expected, actual) << what;
-}
-
-/// Runs `tier` against the interpreter on a serial machine: identical state
-/// trajectories and write logs, entry for entry.
-void expect_serial_tier_identity(const CompiledKernel& kernel,
-                                 Precision precision, ExecTier tier,
-                                 int iters = 300) {
-  FnBus ref_bus, dut_bus;
-  CgraMachine ref(kernel, ref_bus, precision, ExecTier::kInterpreter);
-  CgraMachine dut(kernel, dut_bus, precision, tier);
-  perturb_lane(ref, 0, 3);
-  perturb_lane(dut, 0, 3);
-  for (int i = 0; i < iters; ++i) {
-    ref.run_iteration();
-    dut.run_iteration();
-  }
-  for (std::size_t s = 0; s < kernel.dfg.states().size(); ++s) {
-    const StateHandle h{static_cast<int>(s)};
-    expect_double_eq_bits(ref.state(h), dut.state(h),
-                          "state " + kernel.dfg.states()[s].name);
-  }
-  ASSERT_EQ(ref_bus.log.size(), dut_bus.log.size());
-  for (std::size_t w = 0; w < ref_bus.log.size(); ++w) {
-    EXPECT_EQ(ref_bus.log[w].region, dut_bus.log[w].region);
-    expect_double_eq_bits(ref_bus.log[w].offset, dut_bus.log[w].offset,
-                          "write offset");
-    expect_double_eq_bits(ref_bus.log[w].value, dut_bus.log[w].value,
-                          "write value");
-  }
-}
-
-/// Batched 8-lane identity with a masked-lane cadence (a subset every fifth
-/// iteration), against a batched interpreter reference.
-void expect_batched_tier_identity(const CompiledKernel& kernel,
-                                  Precision precision, ExecTier tier) {
-  constexpr std::size_t kLanes = 8;
-  LaneFnBus ref_bus(kLanes), dut_bus(kLanes);
-  BatchedCgraMachine ref(kernel, kLanes, ref_bus, precision,
-                         ExecTier::kInterpreter);
-  BatchedCgraMachine dut(kernel, kLanes, dut_bus, precision, tier);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    perturb_lane(ref, l, l);
-    perturb_lane(dut, l, l);
-  }
-  const std::uint32_t subset[3] = {1, 4, 6};
-  for (int i = 0; i < 150; ++i) {
-    if (i % 5 == 4) {
-      ref.run_iteration_lanes(subset, 3);
-      dut.run_iteration_lanes(subset, 3);
-    } else {
-      ref.run_iteration_all_lanes();
-      dut.run_iteration_all_lanes();
-    }
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    for (std::size_t s = 0; s < kernel.dfg.states().size(); ++s) {
-      const StateHandle h{static_cast<int>(s)};
-      expect_double_eq_bits(ref.state(h, l), dut.state(h, l),
-                            "lane " + std::to_string(l) + " state " +
-                                kernel.dfg.states()[s].name);
-    }
-    ASSERT_EQ(ref_bus.log(l).size(), dut_bus.log(l).size());
-    for (std::size_t w = 0; w < ref_bus.log(l).size(); ++w) {
-      expect_double_eq_bits(ref_bus.log(l)[w].value, dut_bus.log(l)[w].value,
-                            "lane " + std::to_string(l) + " write");
-    }
-  }
-}
-
 bool native_available() { return NativeKernelCache::compiler_available(); }
 
 // --- identity: every kernel x precision ------------------------------------
-
-TEST(CodegenIdentity, BytecodeMatchesInterpreterEveryKernel) {
-  for (const KernelCase& c : kernel_cases()) {
-    for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
-      SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_serial_tier_identity(c.kernel, p, ExecTier::kBytecode);
-    }
-  }
-}
 
 TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
   if (!native_available()) {
@@ -225,16 +79,16 @@ TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
   for (const KernelCase& c : kernel_cases()) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_serial_tier_identity(c.kernel, p, ExecTier::kNative);
+      check_engine_against_one_lane(c.kernel, 1, ExecTier::kNative, p, 300);
       ASSERT_EQ(NativeKernelCache::global().stats().fallbacks, 0u);
     }
   }
 }
 
 TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
-  // The batched engine spot-checks the bench headline kernel and the
+  // The 8-lane engine spot-checks the bench headline kernel and the
   // pipelined beam kernel (the masked path plus pipeline-register latching);
-  // the serial tests above cover the full kernel matrix.
+  // the one-lane test above covers the full kernel matrix.
   BeamKernelConfig pipelined;
   pipelined.pipelined = true;
   pipelined.n_bunches = 4;
@@ -248,10 +102,7 @@ TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
   for (const KernelCase& c : cases) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_batched_tier_identity(c.kernel, p, ExecTier::kBytecode);
-      if (native_available()) {
-        expect_batched_tier_identity(c.kernel, p, ExecTier::kNative);
-      }
+      check_engine_against_one_lane(c.kernel, 8, ExecTier::kNative, p, 150);
     }
   }
 }
@@ -259,11 +110,12 @@ TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
 TEST(CodegenIdentity, AutoResolvesAndMatches) {
   const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),
                                                grid_4x4(), "cavity_iq_servo");
-  FnBus bus;
-  CgraMachine m(kernel, bus, Precision::kFloat64, ExecTier::kAuto);
+  NullSensorBus bus;
+  BatchedCgraMachine m(kernel, bus, Precision::kFloat64, ExecTier::kAuto);
   EXPECT_EQ(m.exec_tier(), native_available() ? ExecTier::kNative
-                                              : ExecTier::kBytecode);
-  expect_serial_tier_identity(kernel, Precision::kFloat64, ExecTier::kAuto);
+                                              : ExecTier::kInterpreter);
+  check_engine_against_one_lane(kernel, 1, ExecTier::kAuto, Precision::kFloat64,
+                                300);
 }
 
 // --- the disk cache ---------------------------------------------------------
@@ -348,60 +200,46 @@ TEST(CodegenCache, CorruptSharedObjectIsRepaired) {
   EXPECT_EQ(cache.stats().repairs, before.repairs + 1);
   EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
 
-  // The recompiled kernel is the real thing, not a husk: identity holds.
-  expect_serial_tier_identity(kernel, Precision::kFloat32, ExecTier::kNative,
-                              100);
+  // The recompiled kernel is the real thing, not a husk: identity holds on
+  // the very (f32, 4-lane) kernel that was repaired.
+  check_engine_against_one_lane(kernel, 4, ExecTier::kNative,
+                                Precision::kFloat32, 100);
 }
 
 // --- fallback ---------------------------------------------------------------
 
-// Compiler discovery is memoised once per process, so forcing the
-// no-compiler path needs a child process: re-exec this test binary with
-// $CITL_CODEGEN_CC pointing nowhere (the explicit override has no
-// fallthrough) and run only the *Child test below.
-TEST(CodegenFallback, NoCompilerFallsBackToBytecodeInChildProcess) {
-  // Resolve the symlink here: inside std::system's shell, /proc/self/exe
-  // would name the shell, not this binary.
-  char self[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
-  ASSERT_GT(n, 0);
-  self[n] = '\0';
-  std::string cmd =
-      "CITL_TEST_FALLBACK_CHILD=1 CITL_CODEGEN_CC=/nonexistent/cc '" +
-      std::string(self) +
-      "' --gtest_filter='CodegenFallback.ChildResolvesBytecode' "
-      "> /dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  EXPECT_EQ(rc, 0) << "child fallback run failed; re-run manually: " << cmd;
-}
-
-TEST(CodegenFallback, ChildResolvesBytecode) {
-  if (std::getenv("CITL_TEST_FALLBACK_CHILD") == nullptr) {
-    GTEST_SKIP() << "parent process (compiler discovery already memoised); "
-                    "exercised via the child re-exec above";
-  }
-  ASSERT_FALSE(NativeKernelCache::compiler_available());
-  const CompiledKernel kernel =
-      compile_kernel(demo_oscillator_source(), grid_5x5(), "demo_oscillator");
-  const CodegenStats before = NativeKernelCache::global().stats();
-
-  // An explicit kNative request degrades to bytecode and counts a fallback;
-  // kAuto resolves straight to bytecode without touching the cache.
-  FnBus bus;
-  CgraMachine explicit_native(kernel, bus, Precision::kFloat64,
-                              ExecTier::kNative);
-  EXPECT_EQ(explicit_native.exec_tier(), ExecTier::kBytecode);
-  EXPECT_GE(NativeKernelCache::global().stats().fallbacks,
-            before.fallbacks + 1);
-
-  FnBus auto_bus;
-  CgraMachine auto_machine(kernel, auto_bus, Precision::kFloat64,
-                           ExecTier::kAuto);
-  EXPECT_EQ(auto_machine.exec_tier(), ExecTier::kBytecode);
-
-  // And the fallback still computes the right numbers.
-  expect_serial_tier_identity(kernel, Precision::kFloat64, ExecTier::kNative,
-                              100);
+TEST(CodegenFallback, NoCompilerFallsBackToInterpreter) {
+  // Compiler discovery is memoised once per process, so the no-compiler
+  // case runs in a fresh one: a threadsafe death test re-executes this
+  // binary, and the child inherits the bogus compiler set here (the
+  // explicit override has no fallthrough).
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("CITL_CODEGEN_CC", "/nonexistent/cc", 1);
+  EXPECT_EXIT(
+      {
+        const CompiledKernel kernel = compile_kernel(
+            demo_oscillator_source(), grid_5x5(), "demo_oscillator");
+        const CodegenStats before = NativeKernelCache::global().stats();
+        NullSensorBus bus;
+        // An explicit kNative request degrades to the interpreter and counts
+        // a fallback; kAuto resolves straight to the interpreter without
+        // touching the cache.
+        BatchedCgraMachine explicit_native(kernel, bus, Precision::kFloat64,
+                                           ExecTier::kNative);
+        BatchedCgraMachine auto_tier(kernel, bus, Precision::kFloat64,
+                                     ExecTier::kAuto);
+        EXPECT_FALSE(NativeKernelCache::compiler_available());
+        EXPECT_EQ(explicit_native.exec_tier(), ExecTier::kInterpreter);
+        EXPECT_EQ(auto_tier.exec_tier(), ExecTier::kInterpreter);
+        EXPECT_EQ(NativeKernelCache::global().stats().fallbacks,
+                  before.fallbacks + 1);
+        // And the fallback computes the interpreter's numbers bit for bit.
+        check_engine_against_one_lane(kernel, 1, ExecTier::kNative,
+                                      Precision::kFloat64, 100);
+        std::exit(::testing::Test::HasFailure() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::unsetenv("CITL_CODEGEN_CC");
 }
 
 // --- config threading -------------------------------------------------------
@@ -425,14 +263,39 @@ TEST(CodegenConfig, TierRoundTripsThroughWireAndDigest) {
 }
 
 TEST(CodegenConfig, TierNamesRoundTrip) {
-  for (ExecTier t : {ExecTier::kInterpreter, ExecTier::kBytecode,
-                     ExecTier::kNative, ExecTier::kAuto}) {
-    ExecTier parsed{};
-    ASSERT_TRUE(parse_exec_tier(exec_tier_name(t), &parsed));
-    EXPECT_EQ(parsed, t);
+  // The three tier values keep their wire/journal bytes and names through a
+  // citl-wire-v1 round trip.
+  const std::pair<ExecTier, std::string_view> tiers[] = {
+      {ExecTier::kInterpreter, "interpreter"},
+      {ExecTier::kNative, "native"},
+      {ExecTier::kAuto, "auto"}};
+  for (const auto& [tier, name] : tiers) {
+    api::SessionConfig c = api::paper_operating_point();
+    c.exec_tier = tier;
+    serve::WireWriter w;
+    serve::encode_session_config(w, c);
+    serve::WireReader r(w.bytes());
+    const api::SessionConfig back = serve::decode_session_config(r);
+    EXPECT_EQ(back.exec_tier, tier);
+    EXPECT_EQ(exec_tier_name(back.exec_tier), name);
   }
-  ExecTier parsed{};
-  EXPECT_FALSE(parse_exec_tier("jit", &parsed));
+  EXPECT_EQ(static_cast<int>(ExecTier::kInterpreter), 0);
+  EXPECT_EQ(static_cast<int>(ExecTier::kNative), 2);
+  EXPECT_EQ(static_cast<int>(ExecTier::kAuto), 3);
+}
+
+TEST(CodegenConfig, RetiredTierByteIsRefused) {
+  api::SessionConfig c = api::paper_operating_point();
+  c.exec_tier = static_cast<ExecTier>(1);
+  try {
+    api::validate(c);
+    FAIL() << "tier byte 1 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+    EXPECT_NE(std::string(e.what()).find("exec_tier"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)api::to_turnloop_config(c), ConfigError);
 }
 
 // --- the oracle over the codegen engine -------------------------------------
@@ -453,8 +316,8 @@ hil::TurnLoopConfig paper_loop(ExecTier tier) {
 
 TEST(CodegenOracle, SerialVsBatchedAgreeOnNativeEngine) {
   // Both fidelities execute through the resolved kAuto tier (native when a
-  // compiler exists, bytecode otherwise) — the oracle must see them exactly
-  // bit-equal, same as the interpreted pair it was built on.
+  // compiler exists, the interpreter otherwise) — the oracle must see them
+  // exactly bit-equal, same as the interpreted pair it was built on.
   oracle::OracleConfig oc;
   oc.reference = oracle::Fidelity::kSerialF32;
   oc.candidate = oracle::Fidelity::kBatchedF32;

@@ -242,17 +242,17 @@ TEST(FailureInjection, BatchedLaneStateFaultsStayIsolated) {
   seu.seed = 5;
   plan.entries.push_back(seu);
 
-  // Clean serial references, one per lane.
+  // Clean one-lane cycle-accurate references, one per lane.
   std::vector<std::unique_ptr<IsolationBus>> serial_buses;
-  std::vector<std::unique_ptr<cgra::CgraMachine>> serial;
+  std::vector<std::unique_ptr<cgra::BatchedCgraMachine>> serial;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     serial_buses.push_back(std::make_unique<IsolationBus>(lane));
-    serial.push_back(
-        std::make_unique<cgra::CgraMachine>(kernel, *serial_buses[lane]));
+    serial.push_back(std::make_unique<cgra::BatchedCgraMachine>(
+        kernel, *serial_buses[lane]));
   }
-  // A faulted serial twin of the faulted lane.
+  // A faulted one-lane twin of the faulted lane.
   IsolationBus twin_bus(kFaulted);
-  cgra::CgraMachine twin(kernel, twin_bus);
+  cgra::BatchedCgraMachine twin(kernel, twin_bus);
   fault::FaultInjector twin_inj(plan, 99,
                                 fault::FaultInjector::Host::kSampleAccurate);
   twin_inj.resolve_targets(kernel);
@@ -275,8 +275,8 @@ TEST(FailureInjection, BatchedLaneStateFaultsStayIsolated) {
     twin_inj.begin_tick(it);
     batched.run_iteration_all_lanes();
     batch_inj.apply_state_faults(batched, kFaulted);
-    for (auto& m : serial) m->run_iteration();
-    twin.run_iteration();
+    for (auto& m : serial) m->run_iteration_cycle_accurate();
+    twin.run_iteration_cycle_accurate();
     twin_inj.apply_state_faults(twin, 0);
   }
   EXPECT_GT(batch_inj.events(), 0);
@@ -288,19 +288,19 @@ TEST(FailureInjection, BatchedLaneStateFaultsStayIsolated) {
     const cgra::StateHandle h{static_cast<int>(i)};
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       if (lane == kFaulted) continue;
-      EXPECT_EQ(bits(batched.state(h, lane)), bits(serial[lane]->state(h)))
+      EXPECT_EQ(bits(batched.state(h, lane)), bits(serial[lane]->state(h, 0)))
           << "clean lane " << lane << " state "
           << kernel.dfg.states()[i].name;
     }
-    EXPECT_EQ(bits(batched.state(h, kFaulted)), bits(twin.state(h)))
+    EXPECT_EQ(bits(batched.state(h, kFaulted)), bits(twin.state(h, 0)))
         << "faulted lane, state " << kernel.dfg.states()[i].name;
-    if (bits(batched.state(h, kFaulted)) != bits(serial[kFaulted]->state(h))) {
+    if (bits(batched.state(h, kFaulted)) != bits(serial[kFaulted]->state(h, 0))) {
       faulted_diverged = true;
     }
   }
   EXPECT_TRUE(faulted_diverged);  // the fault stream actually bit
   EXPECT_NE(bits(batched.state(dt0, kFaulted)),
-            bits(serial[kFaulted]->state(dt0)));
+            bits(serial[kFaulted]->state(dt0, 0)));
 }
 
 TEST(FailureInjection, BatchedSnapshotRestoreIsBitExactAndLaneLocal) {

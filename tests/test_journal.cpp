@@ -25,6 +25,7 @@
 #include "hil/turnloop.hpp"
 #include "serve/journal.hpp"
 #include "serve/runtime.hpp"
+#include "serve/wire.hpp"
 
 using namespace citl;
 
@@ -426,6 +427,35 @@ TEST(ServeJournal, UnusableJournalIsSkippedNotFatal) {
   // A second, garbage journal beside the good one.
   dump(dir + "/session-9.journal", {'n', 'o', 't', ' ', 'a', ' ', 'l', 'o',
                                     'g'});
+  serve::RuntimeConfig rc;
+  rc.state_dir = dir;
+  serve::SessionRuntime rt(rc);
+  EXPECT_EQ(rt.recover(), 1u);
+  EXPECT_EQ(rt.stats().journals_corrupt, 1u);
+  EXPECT_EQ(rt.stats().active_sessions, 1u);
+}
+
+TEST(ServeJournal, RetiredTierJournalIsSkippedNotFatal) {
+  // A journal whose config record carries execution-tier byte 1 (a retired
+  // tier) no longer validates: recovery skips it and counts it corrupt, and
+  // the healthy session beside it still recovers.
+  const std::string dir = fresh_state_dir("retired_tier");
+  {
+    serve::RuntimeConfig rc;
+    rc.state_dir = dir;
+    serve::SessionRuntime rt(rc);
+    (void)rt.create(api::SessionConfig{});
+  }
+  api::SessionConfig retired;
+  retired.exec_tier = static_cast<cgra::ExecTier>(1);
+  {
+    serve::JournalWriter w(journal_file(dir, 9), 9,
+                           api::session_config_digest(retired));
+    serve::WireWriter config;
+    serve::encode_session_config(config, retired);
+    config.u64(0);  // create nonce
+    w.append(serve::JournalRecordType::kConfig, config.bytes());
+  }
   serve::RuntimeConfig rc;
   rc.state_dir = dir;
   serve::SessionRuntime rt(rc);

@@ -612,6 +612,32 @@ TEST(ServeServer, ErrorsCrossTheWireWithTheirCodes) {
   EXPECT_EQ(pair.client->step(created.session_id, 5).size(), 5u);
 }
 
+TEST(ServeServer, RetiredTierByteIsRefusedWithoutSessionOrJournal) {
+  const std::string dir = ::testing::TempDir() + "citl_serve_retired_tier";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  serve::ServerConfig sc;
+  sc.runtime.state_dir = dir;
+  ServedPair pair(sc);
+
+  // Tier byte 1 belonged to a retired tier: the codec carries the byte and
+  // validate() refuses it before any session id or journal exists.
+  api::SessionConfig bad = quiet_point();
+  bad.exec_tier = static_cast<cgra::ExecTier>(1);
+  try {
+    (void)pair.client->create(bad);
+    FAIL() << "retired tier byte admitted over the wire";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+    EXPECT_NE(std::string(e.what()).find("exec_tier"), std::string::npos)
+        << e.what();
+  }
+  const serve::StatsResult stats = pair.client->stats();
+  EXPECT_EQ(stats.active_sessions, 0u);
+  EXPECT_EQ(stats.sessions_created, 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
 TEST(ServeServer, AdmissionRejectionCrossesTheWire) {
   serve::ServerConfig config;
   config.runtime.max_sessions = 1;
