@@ -11,11 +11,13 @@
 #include <cmath>
 #include <vector>
 
+#include "api/api.hpp"
 #include "core/units.hpp"
 #include "hil/experiment.hpp"
 #include "phys/relativity.hpp"
 #include "phys/synchrotron.hpp"
 #include "phys/tracker.hpp"
+#include "sweep/sweep.hpp"
 
 namespace citl::phys {
 namespace {
@@ -111,6 +113,70 @@ TEST(TrackerGolden, SmallAmplitudeFrequencyMatchesAnalytic) {
   const double f = hil::estimate_oscillation_frequency_hz(ts, xs, 0.0, t);
   EXPECT_NEAR(f, 1280.362961, 1.0e-3);  // frozen measurement
   EXPECT_NEAR(f, 1280.0, 0.01 * 1280.0);  // physics: within 1% of analytic
+}
+
+// The many-particle ensemble ground truth (the Fig. 5b stand-in) calls libm
+// sin() once per particle and turn, so it is pinned to a relative 1e-9
+// rather than exactly: a different glibc may round differently in the last
+// ulp, but nothing physical hides at that level.
+constexpr double kEnsembleRelTol = 1.0e-9;
+
+TEST(TrackerGolden, SweepEnsembleReferenceColumns) {
+  // One turn-level paper scenario with the ensemble reference on, as a sweep
+  // runs it (scenario seed of index 0 under the default master seed).
+  constexpr double kGoldenFsync = 1283.3225521992374;
+  constexpr double kGoldenFirstSwing = 0.25556061926452467;
+
+  api::SessionConfig sc = api::paper_operating_point();
+  sc.jump_start_s = 0.2e-3;
+  sweep::Scenario s;
+  s.engine = sweep::ScenarioEngine::kTurnLevel;
+  s.turnloop = api::to_turnloop_config(sc);
+  s.duration_s = 2.0e-3;
+  s.ensemble_reference = true;
+  s.ensemble_particles = 200;
+  sweep::SweepConfig config;
+  config.scenarios.push_back(s);
+  config.threads = 1;
+  config.collect_traces = false;
+  const sweep::ScenarioResult r = sweep::run_sweep(config).scenarios.at(0);
+
+  EXPECT_NEAR(r.f_sync_reference_hz, kGoldenFsync,
+              kEnsembleRelTol * kGoldenFsync);
+  EXPECT_NEAR(r.reference_first_swing_rad, kGoldenFirstSwing,
+              kEnsembleRelTol * kGoldenFirstSwing);
+  // Physics: the measured ground truth sits near the analytic 1.28 kHz.
+  EXPECT_NEAR(r.f_sync_reference_hz, 1280.0, 0.10 * 1280.0);
+}
+
+TEST(TrackerGolden, MdeReferenceSeriesSamples) {
+  // A short run_mde_reference series: one 8 deg jump at 2 ms under the
+  // paper's controller; samples before the jump, one swing after it and at
+  // the end of the run.
+  struct Sample {
+    std::size_t index;
+    double time_s;
+    double phase_deg;
+  };
+  static constexpr Sample kGolden[3] = {
+      {100, 0.0010012499999999802, -3.5173160481438841},
+      {300, 0.003001249999999899, -14.091698285899255},
+      {999, 0.0099912500000002135, -35.013491069834295},
+  };
+
+  hil::MdeScenarioConfig cfg;
+  cfg.jump_interval_s = 0.01;  // first toggle at interval / 5 = 2 ms
+  cfg.duration_s = 0.01;
+  cfg.ensemble_particles = 500;
+  const hil::PhaseSeries series = hil::run_mde_reference(cfg);
+  ASSERT_EQ(series.time_s.size(), 1000u);
+  for (const Sample& g : kGolden) {
+    EXPECT_NEAR(series.time_s[g.index], g.time_s, kEnsembleRelTol * g.time_s)
+        << "sample " << g.index;
+    EXPECT_NEAR(series.phase_deg[g.index], g.phase_deg,
+                kEnsembleRelTol * std::abs(g.phase_deg))
+        << "sample " << g.index;
+  }
 }
 
 }  // namespace
