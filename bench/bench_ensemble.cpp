@@ -109,6 +109,7 @@ void quadrupole_study() {
                               .height = 14,
                               .title = "bunch length rms [ns] vs time [ms] — "
                                        "breathing at ≈ 2·f_s",
+                              .y_label = {},
                               .x_label = "t [ms]"})
                   .c_str());
   const double f_breath =
@@ -136,6 +137,7 @@ void profile_study() {
                              {.width = 100,
                               .height = 12,
                               .title = "bunch profile (counts per bin)",
+                              .y_label = {},
                               .x_label = "Δt [ns]"})
                   .c_str());
   std::printf("Gaussian fit: mean = %.2f ns, sigma = %.2f ns, rms(dt) = "

@@ -83,6 +83,7 @@ void print_figure() {
                               .height = 26,
                               .title = "separatrix + librating trajectories "
                                        "(x: Δt [ns], y: Δγ)",
+                              .y_label = {},
                               .x_label = "Δt [ns]"})
                   .c_str());
   std::printf("bucket half height Δγ_max = %.4e, bucket half length = %.1f ns\n\n",

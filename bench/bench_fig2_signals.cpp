@@ -70,6 +70,7 @@ void print_figure() {
                                .height = 16,
                                .title = "reference (*) 800 kHz vs gap (o) "
                                         "1.6 MHz [V] — two ref periods",
+                               .y_label = {},
                                .x_label = "t [µs]"})
                   .c_str());
   std::printf("%s\n",
@@ -78,6 +79,7 @@ void print_figure() {
                               .height = 12,
                               .title = "beam signal: Gauss pulse per bunch "
                                        "passage [V]",
+                              .y_label = {},
                               .x_label = "t [µs]"})
                   .c_str());
 

@@ -51,6 +51,7 @@ void print_figure() {
                                .title = "closed loop: simulator (*) vs "
                                         "ensemble reference (o) — phase "
                                         "difference [deg] vs time [s]",
+                               .y_label = {},
                                .x_label = "t [s]"})
                   .c_str());
   std::printf("%s\n",
@@ -61,6 +62,7 @@ void print_figure() {
                                .title = "control OFF ablation: simulator (*) "
                                         "rings on; ensemble (o) filaments "
                                         "(Landau damping, §V discussion)",
+                               .y_label = {},
                                .x_label = "t [s]"})
                   .c_str());
 

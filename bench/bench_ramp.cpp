@@ -91,6 +91,7 @@ void print_study() {
                               .height = 14,
                               .title = "revolution frequency [kHz] during the "
                                        "ramp",
+                              .y_label = {},
                               .x_label = "t [ms]"})
                   .c_str());
   std::printf("bunch stayed captured: max |Δt|/bucket-half = %.3f (< 1)\n",

@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
                               .height = 12,
                               .title = "one revolution of the beam signal: "
                                        "one Gauss pulse per bunch",
+                              .y_label = {},
                               .x_label = "t [µs]"})
                   .c_str());
 

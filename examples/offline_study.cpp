@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
                              {.width = 100,
                               .height = 14,
                               .title = "bunch length rms [ns] over the cycle",
+                              .y_label = {},
                               .x_label = "t [ms]"})
                   .c_str());
 

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
                                .title = "Fig. 5 reproduction — simulator (*) "
                                         "vs ensemble reference (o), phase "
                                         "[deg] vs time [s]",
+                               .y_label = {},
                                .x_label = "t [s]"})
                   .c_str());
 

@@ -64,6 +64,7 @@ int main() {
                               .height = 18,
                               .title = "beam phase [deg]: 8 deg jump at 2 ms, "
                                        "oscillation damped by the loop",
+                              .y_label = {},
                               .x_label = "t [ms]"})
                   .c_str());
   std::printf("final phase: %.2f deg (settled at minus the jump amplitude)\n",

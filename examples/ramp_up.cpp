@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
                               .height = 14,
                               .title = "revolution frequency [kHz] — the "
                                        "variable-frequency challenge of §VI",
+                              .y_label = {},
                               .x_label = "t [ms]"})
                   .c_str());
   const double gained_mev = phys::kinetic_energy_ev(t.gamma_r(), ion.mass_ev) -

@@ -74,7 +74,8 @@ void FlightRecorder::record(EventKind kind, std::int64_t turn, double time_s,
   e.a = a;
   e.b = b;
   const std::size_t n = std::min(label.size(), FlightEvent::kLabelSize - 1);
-  std::memcpy(e.label, label.data(), n);
+  // An empty label's data() may be null, which memcpy forbids even at n = 0.
+  if (n > 0) std::memcpy(e.label, label.data(), n);
   e.label[n] = '\0';
   ring.head = (ring.head + 1) % capacity_;
   ++ring.written;

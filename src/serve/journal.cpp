@@ -176,7 +176,9 @@ void JournalWriter::append(JournalRecordType type,
   put_u32(rec.data(), static_cast<std::uint32_t>(payload.size()));
   rec[4] = static_cast<std::uint8_t>(type);
   put_u64(rec.data() + 5, seq);
-  std::memcpy(rec.data() + 13, payload.data(), payload.size());
+  if (!payload.empty()) {  // empty payload: data() may be null
+    std::memcpy(rec.data() + 13, payload.data(), payload.size());
+  }
   put_u64(rec.data() + 13 + payload.size(), chain);
   write_all(fd_, rec.data(), rec.size(), path_);
   if (::fsync(fd_) != 0) throw_io("fsync failed", path_);

@@ -61,7 +61,7 @@ TEST(Lexer, TracksLineAndColumn) {
 
 TEST(Lexer, ErrorsCarryLocation) {
   try {
-    lex("x = @;");
+    (void)lex("x = @;");
     FAIL();
   } catch (const CompileError& e) {
     EXPECT_EQ(e.line(), 1);

@@ -148,7 +148,6 @@ TEST(BeamKernel, Float32PrecisionStaysUsable) {
   // The real overlay computes in binary32 (§III-C). Over 2000 turns the
   // float32 trajectory stays within a few percent of the float64 one —
   // the precision argument for running this model on FP32 PEs.
-  const phys::Ring ring = phys::sis18(4);
   const double f_ref = 800.0e3;
   BeamKernelConfig kc;
   kc.gamma0 = phys::gamma_from_revolution_frequency(f_ref, 216.72);

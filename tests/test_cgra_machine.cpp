@@ -78,7 +78,7 @@ TEST(Machine, ParamsAreRuntimeSettable) {
   m.run_iteration();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 20.0);
   EXPECT_THROW(api::set_kernel_param(m, "nope", 0.0), ConfigError);
-  EXPECT_THROW(api::kernel_param(m, "nope"), ConfigError);
+  EXPECT_THROW((void)api::kernel_param(m, "nope"), ConfigError);
 }
 
 TEST(Machine, StateOverride) {

@@ -58,7 +58,7 @@ TEST(GaussGenerator, DropsFinishedPulses) {
   GaussPulseGenerator gen(GaussPulseShape(4.0, 1.0));
   gen.schedule(100.0);
   EXPECT_EQ(gen.pending(), 1u);
-  gen.sample(200);  // far past the pulse
+  (void)gen.sample(200);  // far past the pulse
   EXPECT_EQ(gen.pending(), 0u);
 }
 

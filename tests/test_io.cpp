@@ -90,11 +90,11 @@ TEST(Csv, ParseNumberAcceptsCaseAndSignVariants) {
 }
 
 TEST(Csv, ParseNumberRejectsGarbage) {
-  EXPECT_THROW(io::csv_parse_number(""), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("-"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("1.5x"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("nanx"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("not-a-number"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number(""), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("-"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("1.5x"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("nanx"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("not-a-number"), ConfigError);
 }
 
 TEST(Csv, ParseNumberIsLocaleIndependent) {
@@ -234,8 +234,11 @@ TEST(AsciiPlot, ContainsMarksAndAxes) {
     x.push_back(i);
     y.push_back(std::sin(0.1 * i));
   }
-  const std::string p =
-      io::ascii_plot(x, y, {.width = 60, .height = 10, .title = "wave"});
+  io::PlotOptions options;
+  options.width = 60;
+  options.height = 10;
+  options.title = "wave";
+  const std::string p = io::ascii_plot(x, y, options);
   EXPECT_NE(p.find("wave"), std::string::npos);
   EXPECT_NE(p.find('*'), std::string::npos);
   EXPECT_NE(p.find('+'), std::string::npos);
@@ -243,7 +246,10 @@ TEST(AsciiPlot, ContainsMarksAndAxes) {
 
 TEST(AsciiPlot, OverlayUsesDistinctMarks) {
   std::vector<double> x{0, 1, 2, 3}, y1{0, 1, 0, -1}, y2{1, 0, -1, 0};
-  const std::string p = io::ascii_plot2(x, y1, x, y2, {.width = 40, .height = 8});
+  io::PlotOptions options;
+  options.width = 40;
+  options.height = 8;
+  const std::string p = io::ascii_plot2(x, y1, x, y2, options);
   EXPECT_NE(p.find('*'), std::string::npos);
   EXPECT_NE(p.find('o'), std::string::npos);
 }
@@ -279,8 +285,8 @@ TEST(ParamBus, DefaultsAndRoundTrip) {
   bus.set("beam_pulse_scale", 0.5);
   EXPECT_DOUBLE_EQ(bus.get("beam_pulse_scale"), 0.5);
   // Unknown registers report through the library's error hierarchy.
-  EXPECT_THROW(bus.get("nope"), citl::Error);
-  EXPECT_THROW(bus.handle("nope"), citl::Error);
+  EXPECT_THROW((void)bus.get("nope"), citl::Error);
+  EXPECT_THROW((void)bus.handle("nope"), citl::Error);
 
   // A handle reads the same storage set() writes, across later insertions.
   const hil::ParameterBus::Handle h = bus.handle("beam_pulse_scale");

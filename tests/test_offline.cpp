@@ -66,7 +66,7 @@ TEST(MultiHarmonic, FullBlfCancellationIsDefocusing) {
   const MultiHarmonicWaveform w =
       MultiHarmonicWaveform::dual(kOmega, 4860.0, 0.5);
   EXPECT_NEAR(w.slope_at(0.0), 0.0, 1e-6);
-  EXPECT_THROW(phys::synchrotron_frequency_hz(kIon, kRing, kGamma, w),
+  EXPECT_THROW((void)phys::synchrotron_frequency_hz(kIon, kRing, kGamma, w),
                ConfigError);
 }
 

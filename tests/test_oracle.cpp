@@ -301,7 +301,10 @@ TEST(Oracle, FaultScenarioForcesDenseComparisonAndStillAgrees) {
   // a reference dropout produces: matched NaN is agreement).
   hil::TurnLoopConfig tl = paper_loop();
   tl.faults.entries.push_back(fault::FaultSpec{
-      .kind = fault::FaultKind::kRefDropout, .start_tick = 50, .duration = 3});
+      .kind = fault::FaultKind::kRefDropout,
+      .start_tick = 50,
+      .duration = 3,
+      .target = {}});
   OracleConfig oc;
   oc.reference = Fidelity::kHostF64;
   oc.candidate = Fidelity::kSerialF64;

@@ -26,7 +26,7 @@ TEST(Moments, ConstantSampleHasZeroRms) {
 
 TEST(Moments, EmptySampleThrows) {
   const std::vector<double> xs;
-  EXPECT_THROW(moments(xs), std::logic_error);
+  EXPECT_THROW((void)moments(xs), std::logic_error);
 }
 
 TEST(RmsEmittance, UncorrelatedGaussian) {
@@ -91,7 +91,7 @@ TEST(GaussianFitTest, RecoversMeanAndSigma) {
 
 TEST(GaussianFitTest, EmptyProfileThrows) {
   const Profile p{0.0, 1.0, std::vector<double>(8, 0.0)};
-  EXPECT_THROW(fit_gaussian(p), std::logic_error);
+  EXPECT_THROW((void)fit_gaussian(p), std::logic_error);
 }
 
 }  // namespace

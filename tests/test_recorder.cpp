@@ -263,7 +263,9 @@ void expect_valid_prometheus_text(const std::string& text) {
                   c == ':')
           << line;
     }
-    if (brace != std::string::npos) EXPECT_EQ(series.back(), '}') << line;
+    if (brace != std::string::npos) {
+      EXPECT_EQ(series.back(), '}') << line;
+    }
   }
 }
 

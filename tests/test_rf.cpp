@@ -52,7 +52,7 @@ TEST(Ramp, RejectsUnorderedBreakpoints) {
 TEST(Ramp, EmptyRampThrowsOnEvaluation) {
   const Ramp r;
   EXPECT_TRUE(r.empty());
-  EXPECT_THROW(r.at(0.0), std::logic_error);
+  EXPECT_THROW((void)r.at(0.0), std::logic_error);
 }
 
 TEST(RfProgramme, StationaryHasNoNetAcceleration) {

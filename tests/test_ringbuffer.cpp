@@ -34,8 +34,8 @@ TEST(CaptureBuffer, OverwritesOldestAfterWrap) {
   EXPECT_DOUBLE_EQ(buf.read(12), 12.0);
   EXPECT_DOUBLE_EQ(buf.read(19), 19.0);
   EXPECT_FALSE(buf.retained(11));
-  EXPECT_THROW(buf.read(11), std::logic_error);
-  EXPECT_THROW(buf.read(20), std::logic_error);
+  EXPECT_THROW((void)buf.read(11), std::logic_error);
+  EXPECT_THROW((void)buf.read(20), std::logic_error);
 }
 
 TEST(CaptureBuffer, RetainedWindowBeforeWrap) {

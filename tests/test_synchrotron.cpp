@@ -58,7 +58,7 @@ TEST(SynchrotronFrequency, UnstablePhaseThrows) {
   // Below transition, φ_s = π (negative-slope crossing) is unstable.
   const Fixture f;
   EXPECT_THROW(
-      synchrotron_frequency_hz(f.ion, f.ring, f.gamma, 5000.0, kPi),
+      (void)synchrotron_frequency_hz(f.ion, f.ring, f.gamma, 5000.0, kPi),
       ConfigError);
 }
 
@@ -67,7 +67,7 @@ TEST(SynchrotronFrequency, AboveTransitionStabilityFlips) {
   const double gamma_above = f.ring.gamma_transition() * 1.5;
   // φ_s = 0 is unstable above transition...
   EXPECT_THROW(
-      synchrotron_frequency_hz(f.ion, f.ring, gamma_above, 5000.0, 0.0),
+      (void)synchrotron_frequency_hz(f.ion, f.ring, gamma_above, 5000.0, 0.0),
       ConfigError);
   // ...while φ_s = π is stable.
   EXPECT_GT(synchrotron_frequency_hz(f.ion, f.ring, gamma_above, 5000.0, kPi),

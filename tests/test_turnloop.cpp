@@ -206,7 +206,10 @@ TEST(TurnLoop, CheckpointRestoreReplaysBitExactly) {
 TEST(TurnLoop, CheckpointRejectsFaultedAndSupervisedLoops) {
   TurnLoopConfig tl = paper_loop();
   tl.faults.entries.push_back(fault::FaultSpec{
-      .kind = fault::FaultKind::kRefDropout, .start_tick = 10, .duration = 5});
+      .kind = fault::FaultKind::kRefDropout,
+      .start_tick = 10,
+      .duration = 5,
+      .target = {}});
   TurnLoop faulted(tl);
   EXPECT_THROW((void)faulted.checkpoint(), std::logic_error);
 
