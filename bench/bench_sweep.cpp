@@ -146,8 +146,7 @@ void print_report(const std::string& json_path) {
 
 void BM_KernelCompileCold(benchmark::State& state) {
   const hil::FrameworkConfig fc = paper_config();
-  const cgra::BeamKernelConfig kc =
-      hil::Framework::effective_kernel_config(fc);
+  const cgra::BeamKernelConfig kc = hil::effective_kernel_config(fc);
   for (auto _ : state) {
     sweep::KernelCache cache;
     benchmark::DoNotOptimize(cache.get(kc, fc.arch));
@@ -157,8 +156,7 @@ BENCHMARK(BM_KernelCompileCold)->Unit(benchmark::kMillisecond);
 
 void BM_KernelCacheHit(benchmark::State& state) {
   const hil::FrameworkConfig fc = paper_config();
-  const cgra::BeamKernelConfig kc =
-      hil::Framework::effective_kernel_config(fc);
+  const cgra::BeamKernelConfig kc = hil::effective_kernel_config(fc);
   sweep::KernelCache cache;
   benchmark::DoNotOptimize(cache.get(kc, fc.arch));
   for (auto _ : state) {
@@ -171,8 +169,7 @@ void BM_FrameworkFromSharedKernel(benchmark::State& state) {
   // Framework construction cost once the compilation is amortised away.
   const hil::FrameworkConfig fc = paper_config();
   sweep::KernelCache cache;
-  auto kernel = cache.get(hil::Framework::effective_kernel_config(fc),
-                          fc.arch);
+  auto kernel = cache.get(hil::effective_kernel_config(fc), fc.arch);
   for (auto _ : state) {
     hil::Framework fw(fc, kernel);
     benchmark::DoNotOptimize(fw.now());

@@ -146,12 +146,12 @@ double effective_gap_voltage_v(const SessionConfig& config) {
 
 namespace {
 
-/// The shared part of both expansions: operating point, stimulus, control.
-/// Everything here is a deterministic function of the SessionConfig, so two
-/// equal configs expand to byte-identical engine configs (the byte-identity
-/// tests in test_serve.cpp rest on this).
-template <class EngineConfig>
-void expand_common(const SessionConfig& config, EngineConfig& out) {
+/// The loop both expansions share: operating point, stimulus, control and
+/// the engine knobs of either fidelity. Everything here is a deterministic
+/// function of the SessionConfig, so two equal configs expand to
+/// byte-identical engine configs (the byte-identity tests in test_serve.cpp
+/// rest on this).
+void expand_common(const SessionConfig& config, hil::LoopConfig& out) {
   out.kernel.ring = phys::sis18(config.harmonic);
   out.kernel.pipelined = config.pipelined;
   out.f_ref_hz = config.f_ref_hz;
@@ -163,6 +163,9 @@ void expand_common(const SessionConfig& config, EngineConfig& out) {
         deg_to_rad(config.jump_amplitude_deg), config.jump_interval_s,
         config.jump_start_s);
   }
+  out.cycle_accurate = config.cycle_accurate;
+  out.exec_tier = config.exec_tier;
+  out.supervisor.enabled = config.supervised;
 }
 
 }  // namespace
@@ -171,13 +174,10 @@ hil::TurnLoopConfig to_turnloop_config(const SessionConfig& config) {
   validate(config);
   hil::TurnLoopConfig out;
   expand_common(config, out);
-  out.cycle_accurate = config.cycle_accurate;
-  out.exec_tier = config.exec_tier;
   out.synthesize_waveform = config.synthesize_waveform;
   out.quantise_period = config.quantise_period;
   out.phase_noise_rad = config.phase_noise_rad;
   out.noise_seed = config.noise_seed;
-  out.supervisor.enabled = config.supervised;
   return out;
 }
 
@@ -185,10 +185,7 @@ hil::FrameworkConfig to_framework_config(const SessionConfig& config) {
   validate(config);
   hil::FrameworkConfig out;
   expand_common(config, out);
-  out.cycle_accurate_cgra = config.cycle_accurate;
-  out.exec_tier = config.exec_tier;
   out.noise_seed = config.noise_seed;
-  out.supervisor.enabled = config.supervised;
   // The sample-accurate engine has no analytic noise injection or waveform
   // synthesis toggle — those are turn-level knobs; requesting them here is a
   // config error rather than a silent drop.

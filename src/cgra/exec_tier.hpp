@@ -16,7 +16,7 @@
 //   kAuto        — kNative when a host compiler can be found, else
 //                  kInterpreter.
 //
-// The tier is a configuration knob (FrameworkConfig / TurnLoopConfig /
+// The tier is a configuration knob (hil::LoopConfig /
 // api::SessionConfig); the engine resolves kAuto and the no-compiler
 // fallback at construction and reports the tier it actually runs via
 // exec_tier(). The enumerator values are wire and journal bytes; value 1

@@ -58,63 +58,70 @@ PhaseSeries run_mde_simulator(const MdeScenarioConfig& cfg) {
   return out;
 }
 
-PhaseSeries run_mde_reference(const MdeScenarioConfig& cfg) {
+EnsembleSeries run_ensemble_reference(const LoopConfig& loop,
+                                      std::size_t particles, double sigma_dt_s,
+                                      std::uint64_t seed, std::int64_t turns,
+                                      std::int64_t record_every) {
+  const phys::Ring& ring = loop.kernel.ring;
   const double gamma0 = phys::gamma_from_revolution_frequency(
-      cfg.f_ref_hz, cfg.ring.circumference_m);
-  const double gap_v = derive_gap_amplitude(cfg);
-  const double t_rev = 1.0 / cfg.f_ref_hz;
+      loop.f_ref_hz, ring.circumference_m);
+  const double t_rev = 1.0 / loop.f_ref_hz;
   const double omega_gap =
-      kTwoPi * cfg.f_ref_hz * static_cast<double>(cfg.ring.harmonic);
+      kTwoPi * loop.f_ref_hz * static_cast<double>(ring.harmonic);
 
   phys::EnsembleConfig ec;
-  ec.ion = cfg.ion;
-  ec.ring = cfg.ring;
+  ec.ion = loop.kernel.ion;
+  ec.ring = ring;
   ec.initial_gamma_r = gamma0;
-  ec.n_particles = cfg.ensemble_particles;
-  ec.seed = cfg.seed;
-  phys::EnsembleTracker ensemble(ec);
+  ec.n_particles = particles;
+  ec.seed = seed;
+  phys::EnsembleTracker ensemble(ec);  // serial: deterministic per seed
   const double matched_ratio = phys::matched_dt_per_dgamma_s(
-      cfg.ion, cfg.ring, gamma0, gap_v);
-  ensemble.populate_gaussian(cfg.ensemble_sigma_dt_s / matched_ratio,
-                             cfg.ensemble_sigma_dt_s);
+      ec.ion, ec.ring, gamma0, loop.gap_voltage_v);
+  ensemble.populate_gaussian(sigma_dt_s / matched_ratio, sigma_dt_s);
 
-  ctrl::PhaseJumpProgramme jumps(deg_to_rad(cfg.jump_deg),
-                                 cfg.jump_interval_s,
-                                 cfg.jump_interval_s / 5.0);
-  ctrl::BeamPhaseController controller(cfg.controller);
+  ctrl::BeamPhaseController controller(loop.controller);
   ctrl::PhaseDecimator decimator(static_cast<std::size_t>(
-      std::lround(cfg.f_ref_hz / cfg.controller.sample_rate_hz)));
+      std::lround(loop.f_ref_hz / loop.controller.sample_rate_hz)));
 
-  const auto turns =
-      static_cast<std::int64_t>(cfg.duration_s * cfg.f_ref_hz);
-  PhaseSeries out;
+  EnsembleSeries out;
+  out.time_s.reserve(static_cast<std::size_t>(turns / record_every) + 1);
+  out.phase_rad.reserve(out.time_s.capacity());
   double t = 0.0;
   double ctrl_phase = 0.0;
   double correction_hz = 0.0;
   for (std::int64_t n = 0; n < turns; ++n) {
-    const double gap_phase = jumps.phase_rad(t) + ctrl_phase;
-    phys::SineWaveform gap{gap_v, omega_gap, gap_phase};
-    ensemble.step(gap);
+    const double jump = loop.jumps ? loop.jumps->phase_rad(t) : 0.0;
+    const double gap_phase = jump + ctrl_phase;
+    ensemble.step(
+        phys::SineWaveform{loop.gap_voltage_v, omega_gap, gap_phase});
 
-    // The pickup + DSP measures the bunch centroid phase; the plotted series
+    // The pickup + DSP measures the bunch centroid phase; the recorded series
     // is relative to the reference, the controlled one relative to the gap
     // signal (the bucket position), as in the HIL loop.
     const double phase = wrap_angle(ensemble.centroid_dt_s() * omega_gap);
-    const double bucket_phase = wrap_angle(phase + gap_phase);
-    if (decimator.feed(bucket_phase)) {
+    if (decimator.feed(wrap_angle(phase + gap_phase))) {
       correction_hz =
-          cfg.control_enabled ? controller.update(decimator.output()) : 0.0;
+          loop.control_enabled ? controller.update(decimator.output()) : 0.0;
     }
-    if (cfg.control_enabled) {
-      ctrl_phase += kTwoPi * correction_hz * t_rev;
-    }
+    if (loop.control_enabled) ctrl_phase += kTwoPi * correction_hz * t_rev;
     t += t_rev;
-    if (n % static_cast<std::int64_t>(cfg.record_every_turns) == 0) {
+    if (n % record_every == 0) {
       out.time_s.push_back(t);
-      out.phase_deg.push_back(rad_to_deg(phase));
+      out.phase_rad.push_back(phase);
     }
   }
   return out;
+}
+
+PhaseSeries run_mde_reference(const MdeScenarioConfig& cfg) {
+  EnsembleSeries series = run_ensemble_reference(
+      make_turnloop_config(cfg), cfg.ensemble_particles,
+      cfg.ensemble_sigma_dt_s, cfg.seed,
+      static_cast<std::int64_t>(cfg.duration_s * cfg.f_ref_hz),
+      static_cast<std::int64_t>(cfg.record_every_turns));
+  for (double& phase : series.phase_rad) phase = rad_to_deg(phase);
+  return {std::move(series.time_s), std::move(series.phase_rad)};
 }
 
 namespace {

@@ -20,6 +20,7 @@
 
 #include "ctrl/controller.hpp"
 #include "ctrl/jump.hpp"
+#include "hil/loop_config.hpp"
 #include "hil/turnloop.hpp"
 #include "phys/ensemble.hpp"
 
@@ -73,8 +74,26 @@ struct MdeResult {
 /// need the ensemble reference).
 [[nodiscard]] PhaseSeries run_mde_simulator(const MdeScenarioConfig& config);
 
-/// Runs only the ensemble reference loop.
+/// Runs only the ensemble reference loop (run_ensemble_reference on the
+/// scenario's loop, phases converted to degrees).
 [[nodiscard]] PhaseSeries run_mde_reference(const MdeScenarioConfig& config);
+
+/// A recorded ensemble phase series, in the loop's native radians.
+struct EnsembleSeries {
+  std::vector<double> time_s;
+  std::vector<double> phase_rad;
+};
+
+/// The ground-truth loop: `loop`'s jump programme and controller closed
+/// around a serial many-particle ensemble (`particles` macro-particles, a
+/// matched Gaussian bunch of rms length `sigma_dt_s`, RNG `seed`) instead of
+/// the CGRA kernel's single macro-particle. Runs `turns` revolutions and
+/// records the centroid phase relative to the reference every
+/// `record_every` turns. Only the fields both fidelities share are read, so
+/// either engine's config yields the same series.
+[[nodiscard]] EnsembleSeries run_ensemble_reference(
+    const LoopConfig& loop, std::size_t particles, double sigma_dt_s,
+    std::uint64_t seed, std::int64_t turns, std::int64_t record_every);
 
 // ---- series analysis ------------------------------------------------------
 

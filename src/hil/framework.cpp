@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
-#include "phys/relativity.hpp"
 
 namespace citl::hil {
 
@@ -102,15 +101,6 @@ std::uint64_t adc_seed(std::uint64_t channel, std::uint64_t noise_seed) {
 }
 
 }  // namespace
-
-cgra::BeamKernelConfig Framework::effective_kernel_config(
-    const FrameworkConfig& config) {
-  cgra::BeamKernelConfig kc = config.kernel;
-  kc.gamma0 = phys::gamma_from_revolution_frequency(
-      config.f_ref_hz, kc.ring.circumference_m);
-  kc.v_scale = config.gap_voltage_v / config.gap_amplitude_v;
-  return kc;
-}
 
 Framework::Framework(const FrameworkConfig& config)
     : Framework(config,
@@ -292,7 +282,7 @@ void Framework::run_cgra() {
   }
   CITL_TRACE_SPAN("hil.cgra_revolution");
   unsigned exec_cycles = kernel_->schedule.length;
-  if (config_.cycle_accurate_cgra) {
+  if (config_.cycle_accurate) {
     exec_cycles = machine_->run_iteration_cycle_accurate();
   } else {
     machine_->run_iteration();

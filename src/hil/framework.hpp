@@ -20,18 +20,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cgra/batch.hpp"
-#include "cgra/kernels.hpp"
 #include "cgra/schedule.hpp"
 #include "ctrl/controller.hpp"
-#include "ctrl/jump.hpp"
 #include "ctrl/iqdetector.hpp"
 #include "ctrl/phasedetector.hpp"
-#include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "hil/loop_config.hpp"
 #include "hil/parambus.hpp"
 #include "hil/recorder.hpp"
 #include "hil/supervisor.hpp"
@@ -56,17 +53,8 @@ enum class PhaseDetectorKind : std::uint8_t {
   kIqDemodulation,
 };
 
-struct FrameworkConfig {
-  cgra::BeamKernelConfig kernel;
-  cgra::CgraArch arch = cgra::grid_5x5();
-  double f_ref_hz = 800.0e3;
-  double ref_amplitude_v = 0.8;
-  double gap_amplitude_v = 0.8;
-  double gap_voltage_v = 5000.0;    ///< physical gap amplitude [V]
-  /// Dual-harmonic cavity system: second gap DDS at twice the RF frequency
-  /// (amplitude ratio·gap_amplitude, relative phase; π = bunch lengthening).
-  double gap_h2_ratio = 0.0;
-  double gap_h2_phase_rad = 3.14159265358979323846;
+/// The sample-accurate loop: the shared LoopConfig plus the converter chain.
+struct FrameworkConfig : LoopConfig {
   double adc_noise_rms_v = 0.0;
   /// Stream selector for the ADC noise generators: scenario sweeps give each
   /// framework instance its own deterministic noise realisation. 0 keeps the
@@ -76,22 +64,8 @@ struct FrameworkConfig {
   double pulse_sigma_s = 30.0e-9;   ///< Gauss beam-pulse sigma
   double pulse_amplitude_v = 0.6;
   double detector_threshold_v = 0.05;
-  bool control_enabled = true;
   PhaseDetectorKind detector = PhaseDetectorKind::kPulseCentroid;
   double iq_averaging_revolutions = 8.0;
-  ctrl::ControllerConfig controller;
-  std::optional<ctrl::PhaseJumpProgramme> jumps;
-  bool cycle_accurate_cgra = false;
-  /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
-  /// bit-identical; kAuto picks native codegen when a host compiler exists.
-  /// The cycle-accurate mode always interprets regardless of this knob.
-  cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
-  /// Scripted fault campaign, in converter ticks (empty = healthy run; the
-  /// loop is byte-identical to a build without the injector).
-  fault::FaultPlan faults;
-  /// Supervised recovery layer (disabled by default; enabling it with no
-  /// fault active leaves outputs byte-identical — a tested invariant).
-  SupervisorConfig supervisor;
 };
 
 /// Observable outputs of one converter tick.
@@ -113,12 +87,6 @@ class Framework {
   Framework(const FrameworkConfig& config,
             std::shared_ptr<const cgra::CompiledKernel> kernel);
   ~Framework();
-
-  /// The kernel configuration actually compiled: host-side initialisation
-  /// (§IV-B) bakes gamma0 from the revolution frequency and the ADC-to-gap
-  /// voltage scaling into the kernel constants.
-  [[nodiscard]] static cgra::BeamKernelConfig effective_kernel_config(
-      const FrameworkConfig& config);
 
   /// Advances one 250 MHz tick; returns the DAC outputs for that tick.
   FrameworkOutputs tick();

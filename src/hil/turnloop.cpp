@@ -7,7 +7,6 @@
 #include "core/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "phys/relativity.hpp"
 
 namespace citl::hil {
 
@@ -88,18 +87,6 @@ class TurnLoop::AnalyticBus final : public cgra::SensorBus {
   double h2_phase_;
 };
 
-cgra::BeamKernelConfig TurnLoop::effective_kernel_config(
-    const TurnLoopConfig& config) {
-  // Initialise the model exactly like the paper's init phase (§IV-B): the
-  // reference energy follows from the measured revolution frequency and the
-  // orbit length; the voltage scale maps ADC volts to gap volts.
-  cgra::BeamKernelConfig kc = config.kernel;
-  kc.gamma0 = phys::gamma_from_revolution_frequency(
-      config.f_ref_hz, kc.ring.circumference_m);
-  kc.v_scale = config.gap_voltage_v / config.gap_amplitude_v;
-  return kc;
-}
-
 TurnLoop::TurnLoop(const TurnLoopConfig& config)
     : TurnLoop(config, nullptr) {}
 
@@ -121,7 +108,7 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config,
       noise_(config.noise_seed) {
   CITL_CHECK_MSG(config.f_ref_hz > 0.0, "reference frequency must be positive");
 
-  const cgra::BeamKernelConfig kc = effective_kernel_config(config);
+  const cgra::BeamKernelConfig kc = hil::effective_kernel_config(config);
   if (kernel) {
     kernel_ = std::move(kernel);
   } else {

@@ -19,43 +19,23 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cgra/batch.hpp"
-#include "cgra/kernels.hpp"
 #include "cgra/schedule.hpp"
 #include "core/random.hpp"
 #include "ctrl/controller.hpp"
-#include "ctrl/jump.hpp"
-#include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "hil/loop_config.hpp"
 #include "hil/recorder.hpp"
 #include "hil/supervisor.hpp"
 #include "obs/deadline.hpp"
 
 namespace citl::hil {
 
-struct TurnLoopConfig {
-  cgra::BeamKernelConfig kernel;       ///< beam model (ion, ring, gamma0, ...)
-  cgra::CgraArch arch = cgra::grid_5x5();
-  double f_ref_hz = 800.0e3;           ///< reference (revolution) frequency
-  double ref_amplitude_v = 0.8;        ///< reference-signal amplitude at ADC
-  double gap_amplitude_v = 0.8;        ///< gap-signal amplitude at ADC
-  double gap_voltage_v = 5000.0;       ///< physical gap amplitude [V]
-  /// Dual-harmonic cavity system (Grieser et al. 2014): second cavity at
-  /// twice the RF frequency with amplitude ratio·V̂. 0 disables it; phase π
-  /// is the bunch-lengthening configuration.
-  double gap_h2_ratio = 0.0;
-  double gap_h2_phase_rad = 3.14159265358979323846;
-  bool control_enabled = true;
-  ctrl::ControllerConfig controller;
-  std::optional<ctrl::PhaseJumpProgramme> jumps;
-  bool cycle_accurate = false;         ///< run the CGRA cycle-by-cycle
-  /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
-  /// bit-identical; kAuto picks native codegen when a host compiler exists.
-  /// The cycle-accurate mode always interprets regardless of this knob.
-  cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
+/// The turn-level loop: the shared LoopConfig plus the analytic sensor
+/// bus's own knobs.
+struct TurnLoopConfig : LoopConfig {
   /// Use the CORDIC waveform-synthesis kernel instead of the sampled one:
   /// the gap voltage is computed on-chip from v_hat/gap_phase parameters.
   bool synthesize_waveform = false;
@@ -64,13 +44,6 @@ struct TurnLoopConfig {
   /// Period-detector quantisation: when true the measured period is rounded
   /// to the capture clock and averaged over 4 periods like the hardware.
   bool quantise_period = false;
-  /// Scripted fault campaign, in turns (empty = healthy run). Kinds that act
-  /// on converter codes or parameter registers are rejected — they only
-  /// exist at the sample-accurate fidelity.
-  fault::FaultPlan faults;
-  /// Supervised recovery layer (disabled by default; enabling it with no
-  /// fault active leaves the records byte-identical — a tested invariant).
-  SupervisorConfig supervisor;
 };
 
 /// One revolution's observables.
@@ -101,11 +74,12 @@ class TurnLoop {
            std::shared_ptr<const cgra::CompiledKernel> kernel, ExternalModel);
   ~TurnLoop();
 
-  /// The kernel configuration actually compiled: host-side initialisation
-  /// (§IV-B) bakes gamma0 from the revolution frequency and the ADC-to-gap
-  /// voltage scaling into the kernel constants.
+  /// hil::effective_kernel_config(config), kept as a member for callers
+  /// that name it through the class.
   [[nodiscard]] static cgra::BeamKernelConfig effective_kernel_config(
-      const TurnLoopConfig& config);
+      const TurnLoopConfig& config) {
+    return hil::effective_kernel_config(config);
+  }
 
   /// Points the loop at lane `lane` of a shared model (its sensor bus for
   /// that lane must be this loop's cgra_bus()). The model must execute this

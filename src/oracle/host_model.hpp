@@ -31,7 +31,7 @@ class HostReferenceModel final : public cgra::BeamModel {
   /// `analytic` selects the CORDIC waveform-synthesis recursion (the
   /// TurnLoopConfig::synthesize_waveform kernel); otherwise the sampled
   /// kernel is mirrored. `cfg` must be the *effective* kernel config the
-  /// kernel was generated from (hil::TurnLoop::effective_kernel_config).
+  /// kernel was generated from (hil::effective_kernel_config).
   /// The ramp kernel has no host mirror (the oracle covers the turn loop).
   HostReferenceModel(std::shared_ptr<const cgra::CompiledKernel> kernel,
                      const cgra::BeamKernelConfig& cfg, bool analytic,

@@ -112,7 +112,7 @@ class FidelityRun {
         auto& loop = *loops_.emplace_back(std::make_unique<TurnLoop>(
             config, kernel_, TurnLoop::ExternalModel{}));
         model_ = std::make_unique<HostReferenceModel>(
-            kernel_, TurnLoop::effective_kernel_config(config),
+            kernel_, hil::effective_kernel_config(config),
             config.synthesize_waveform, loop.cgra_bus());
         loop.attach_model(*model_, 0);
         break;

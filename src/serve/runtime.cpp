@@ -179,8 +179,7 @@ std::shared_ptr<SessionRuntime::Session> SessionRuntime::build_session(
   const hil::TurnLoopConfig tl = api::to_turnloop_config(config);
   const auto kind = tl.synthesize_waveform ? sweep::KernelKind::kAnalytic
                                            : sweep::KernelKind::kSampled;
-  auto kernel =
-      cache_->get(hil::TurnLoop::effective_kernel_config(tl), tl.arch, kind);
+  auto kernel = cache_->get(hil::effective_kernel_config(tl), tl.arch, kind);
 
   // One revolution's budget at the CGRA clock vs one kernel iteration.
   const double budget_cycles = kernel->arch.clock_hz / tl.f_ref_hz;

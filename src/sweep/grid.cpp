@@ -6,37 +6,6 @@
 
 namespace citl::sweep {
 
-namespace {
-
-/// Accessors into whichever engine configuration the scenario uses, so one
-/// grid expansion serves both.
-ctrl::ControllerConfig& controller_of(Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.controller
-                                                : s.framework.controller;
-}
-
-std::optional<ctrl::PhaseJumpProgramme>& jumps_of(Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.jumps
-                                                : s.framework.jumps;
-}
-
-cgra::BeamKernelConfig& kernel_of(Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.kernel
-                                                : s.framework.kernel;
-}
-
-fault::FaultPlan& faults_of(Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.faults
-                                                : s.framework.faults;
-}
-
-hil::SupervisorConfig& supervisor_of(Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.supervisor
-                                                : s.framework.supervisor;
-}
-
-}  // namespace
-
 ScenarioGridBuilder::ScenarioGridBuilder(Scenario base)
     : base_(std::move(base)) {}
 
@@ -92,7 +61,7 @@ ScenarioGridBuilder& ScenarioGridBuilder::fault_plans(
 
 ScenarioGridBuilder& ScenarioGridBuilder::supervisor(
     hil::SupervisorConfig config) {
-  supervisor_of(base_) = config;
+  base_.loop().supervisor = config;
   return *this;
 }
 
@@ -150,15 +119,16 @@ std::vector<Scenario> ScenarioGridBuilder::build() const {
         for (std::size_t i = 0; i < ns; ++i) {
           for (std::size_t f = 0; f < nf; ++f) {
             Scenario s = base_;
+            hil::LoopConfig& loop = s.loop();
             std::string name = prefix_;
             if (!jumps_deg_.empty()) {
-              jumps_of(s) = ctrl::PhaseJumpProgramme(
+              loop.jumps = ctrl::PhaseJumpProgramme(
                   deg_to_rad(jumps_deg_[j]), jump_interval_s_, jump_start_s_);
               name += "jump" +
                       std::to_string(static_cast<int>(jumps_deg_[j])) + "deg";
             }
             if (!gains_.empty()) {
-              controller_of(s).gain = gains_[g];
+              loop.controller.gain = gains_[g];
               if (!name.empty() && name.back() != '_') name += '_';
               // The paper's gains are negative; "gain5" means -5 (the sign
               // is part of the loop convention, not worth repeating in
@@ -166,17 +136,17 @@ std::vector<Scenario> ScenarioGridBuilder::build() const {
               name += "gain" + std::to_string(static_cast<int>(-gains_[g]));
             }
             if (!harmonics_.empty()) {
-              kernel_of(s).ring.harmonic = harmonics_[h];
+              loop.kernel.ring.harmonic = harmonics_[h];
               if (!name.empty() && name.back() != '_') name += '_';
               name += "h" + std::to_string(harmonics_[h]);
             }
             if (!species_.empty()) {
-              kernel_of(s).ion = species_[i];
+              loop.kernel.ion = species_[i];
               if (!name.empty() && name.back() != '_') name += '_';
               name += species_[i].name;
             }
             if (!fault_plans_.empty()) {
-              faults_of(s) = fault_plans_[f];
+              loop.faults = fault_plans_[f];
               if (!name.empty() && name.back() != '_') name += '_';
               name += fault_plans_[f].name.empty()
                           ? "plan" + std::to_string(f)

@@ -5,135 +5,35 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 
 #include "cgra/batch.hpp"
 #include "core/error.hpp"
-#include "core/units.hpp"
-#include "ctrl/controller.hpp"
+#include "core/simtime.hpp"
 #include "hil/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "phys/ensemble.hpp"
-#include "phys/relativity.hpp"
-#include "phys/synchrotron.hpp"
 
 namespace citl::sweep {
 
 namespace {
 
-/// The fields of either engine configuration the ensemble reference needs:
-/// both engines drive the same stimulus and controller, just at different
-/// fidelities, and the ground truth is engine-agnostic.
-struct ReferenceDrive {
-  const cgra::BeamKernelConfig* kernel;
-  double f_ref_hz;
-  double gap_voltage_v;
-  const ctrl::ControllerConfig* controller;
-  const std::optional<ctrl::PhaseJumpProgramme>* jumps;
-  bool control_enabled;
-};
-
-ReferenceDrive reference_drive(const Scenario& scenario) {
-  if (scenario.engine == ScenarioEngine::kTurnLevel) {
-    const auto& tc = scenario.turnloop;
-    return {&tc.kernel,     tc.f_ref_hz,        tc.gap_voltage_v,
-            &tc.controller, &tc.jumps,          tc.control_enabled};
-  }
-  const auto& fc = scenario.framework;
-  return {&fc.kernel,     fc.f_ref_hz,        fc.gap_voltage_v,
-          &fc.controller, &fc.jumps,          fc.control_enabled};
-}
-
-/// Ground-truth run: the same stimulus and controller as the HIL loop,
-/// applied to a serial many-particle ensemble (cf. run_mde_reference, but
-/// driven from the scenario's configuration and the scenario seed).
-void run_ensemble_reference(const Scenario& scenario, std::uint64_t seed,
-                            ScenarioResult& out) {
-  const ReferenceDrive drive = reference_drive(scenario);
-  const double gamma0 = phys::gamma_from_revolution_frequency(
-      drive.f_ref_hz, drive.kernel->ring.circumference_m);
-  const double t_rev = 1.0 / drive.f_ref_hz;
-  const double omega_gap =
-      kTwoPi * drive.f_ref_hz * static_cast<double>(drive.kernel->ring.harmonic);
-
-  phys::EnsembleConfig ec;
-  ec.ion = drive.kernel->ion;
-  ec.ring = drive.kernel->ring;
-  ec.initial_gamma_r = gamma0;
-  ec.n_particles = scenario.ensemble_particles;
-  ec.seed = seed;
-  phys::EnsembleTracker ensemble(ec);  // serial: deterministic per scenario
-  const double matched_ratio = phys::matched_dt_per_dgamma_s(
-      ec.ion, ec.ring, gamma0, drive.gap_voltage_v);
-  ensemble.populate_gaussian(scenario.ensemble_sigma_dt_s / matched_ratio,
-                             scenario.ensemble_sigma_dt_s);
-
-  ctrl::BeamPhaseController controller(*drive.controller);
-  ctrl::PhaseDecimator decimator(static_cast<std::size_t>(
-      std::lround(drive.f_ref_hz / drive.controller->sample_rate_hz)));
-
-  const auto turns =
-      static_cast<std::int64_t>(scenario.duration_s * drive.f_ref_hz);
-  constexpr std::int64_t kRecordEvery = 8;
-  std::vector<double> ts, phases;
-  ts.reserve(static_cast<std::size_t>(turns / kRecordEvery) + 1);
-  phases.reserve(ts.capacity());
-
-  double t = 0.0, ctrl_phase = 0.0, correction_hz = 0.0;
-  for (std::int64_t n = 0; n < turns; ++n) {
-    const double jump = *drive.jumps ? (*drive.jumps)->phase_rad(t) : 0.0;
-    const double gap_phase = jump + ctrl_phase;
-    ensemble.step(
-        phys::SineWaveform{drive.gap_voltage_v, omega_gap, gap_phase});
-    const double phase = wrap_angle(ensemble.centroid_dt_s() * omega_gap);
-    if (decimator.feed(wrap_angle(phase + gap_phase))) {
-      correction_hz = drive.control_enabled
-                          ? controller.update(decimator.output())
-                          : 0.0;
-    }
-    if (drive.control_enabled) ctrl_phase += kTwoPi * correction_hz * t_rev;
-    t += t_rev;
-    if (n % kRecordEvery == 0) {
-      ts.push_back(t);
-      phases.push_back(phase);
-    }
-  }
-
-  const double jump_s = *drive.jumps ? (*drive.jumps)->start_s() : 0.0;
-  const double t_sync = 1.0 / scenario.f_sync_nominal_hz;
-  out.f_sync_reference_hz = hil::estimate_oscillation_frequency_hz(
-      ts, phases, jump_s + 0.2e-3,
-      std::min(scenario.duration_s, jump_s + 6.0 * t_sync));
-  out.reference_first_swing_rad =
-      hil::peak_to_peak(ts, phases, jump_s, jump_s + 1.2 * t_sync);
-}
-
 // --- kernel selection per scenario ----------------------------------------
 
 KernelKind scenario_kernel_kind(const Scenario& s) {
-  if (s.engine == ScenarioEngine::kTurnLevel) {
-    return s.turnloop.synthesize_waveform ? KernelKind::kAnalytic
-                                          : KernelKind::kSampled;
-  }
-  return KernelKind::kSampled;
+  const bool analytic = s.engine == ScenarioEngine::kTurnLevel &&
+                        s.turnloop.synthesize_waveform;
+  return analytic ? KernelKind::kAnalytic : KernelKind::kSampled;
 }
 
-cgra::BeamKernelConfig scenario_kernel_config(const Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel
-             ? hil::TurnLoop::effective_kernel_config(s.turnloop)
-             : hil::Framework::effective_kernel_config(s.framework);
-}
-
-const cgra::CgraArch& scenario_arch(const Scenario& s) {
-  return s.engine == ScenarioEngine::kTurnLevel ? s.turnloop.arch
-                                                : s.framework.arch;
+std::string scenario_kernel_key(const Scenario& s) {
+  return kernel_cache_key(hil::effective_kernel_config(s.loop()), s.loop().arch,
+                          scenario_kernel_kind(s));
 }
 
 std::shared_ptr<const cgra::CompiledKernel> scenario_kernel(
     KernelCache& cache, const Scenario& s) {
-  return cache.get(scenario_kernel_config(s), scenario_arch(s),
+  return cache.get(hil::effective_kernel_config(s.loop()), s.loop().arch,
                    scenario_kernel_kind(s));
 }
 
@@ -143,23 +43,41 @@ std::shared_ptr<const cgra::CompiledKernel> scenario_kernel(
 std::string scenario_group_key(const Scenario& s) {
   std::string key =
       s.engine == ScenarioEngine::kTurnLevel ? "turn|" : "tick|";
-  key += kernel_cache_key(scenario_kernel_config(s), scenario_arch(s),
-                          scenario_kernel_kind(s));
+  key += scenario_kernel_key(s);
   key += '|';
-  key += cgra::exec_tier_name(s.engine == ScenarioEngine::kTurnLevel
-                                  ? s.turnloop.exec_tier
-                                  : s.framework.exec_tier);
+  key += cgra::exec_tier_name(s.loop().exec_tier);
   return key;
 }
 
-// --- shared metric extraction ----------------------------------------------
-
-void fill_windows(const Scenario& scenario, double jump_s,
-                  MetricWindows& windows) {
-  windows.jump_s = jump_s;
-  windows.end_s = scenario.duration_s;
-  windows.f_sync_nominal_hz = scenario.f_sync_nominal_hz;
+[[nodiscard]] std::int64_t turn_count(const Scenario& scenario) {
+  return static_cast<std::int64_t>(scenario.duration_s *
+                                   scenario.loop().f_ref_hz);
 }
+
+[[nodiscard]] double jump_start_s(const Scenario& scenario) {
+  const auto& jumps = scenario.loop().jumps;
+  return jumps ? jumps->start_s() : 0.0;
+}
+
+/// Ground-truth columns: the scenario's loop closed around a serial
+/// many-particle ensemble (hil::run_ensemble_reference) seeded with the
+/// scenario seed, measured in the same windows as the HIL metrics.
+void fill_ensemble_reference(const Scenario& scenario, std::uint64_t seed,
+                             ScenarioResult& out) {
+  constexpr std::int64_t kRecordEvery = 8;
+  const hil::EnsembleSeries ref = hil::run_ensemble_reference(
+      scenario.loop(), scenario.ensemble_particles,
+      scenario.ensemble_sigma_dt_s, seed, turn_count(scenario), kRecordEvery);
+  const double jump_s = jump_start_s(scenario);
+  const double t_sync = 1.0 / scenario.f_sync_nominal_hz;
+  out.f_sync_reference_hz = hil::estimate_oscillation_frequency_hz(
+      ref.time_s, ref.phase_rad, jump_s + 0.2e-3,
+      std::min(scenario.duration_s, jump_s + 6.0 * t_sync));
+  out.reference_first_swing_rad = hil::peak_to_peak(
+      ref.time_s, ref.phase_rad, jump_s, jump_s + 1.2 * t_sync);
+}
+
+// --- shared metric extraction ----------------------------------------------
 
 [[nodiscard]] double finite_fraction(std::span<const double> xs) {
   if (xs.empty()) return 1.0;
@@ -189,72 +107,33 @@ void fill_fault_metrics(const fault::FaultInjector* injector,
   }
 }
 
-void finalize_framework_result(const Scenario& scenario, hil::Framework& fw,
-                               double wall_s, bool collect_traces,
-                               ScenarioResult& out) {
+/// Fills the metric, deadline and fault columns of a finished scenario from
+/// either engine (hil::Framework or hil::TurnLoop) and its recorded phase
+/// series. The trace hand-off stays with the caller, which knows whether it
+/// may move the series.
+template <class Loop>
+void finalize_result(const Scenario& scenario, const Loop& loop,
+                     std::int64_t cgra_runs, std::span<const double> ts,
+                     std::span<const double> phases, double wall_s,
+                     ScenarioMetrics& m) {
   MetricWindows windows;
-  fill_windows(scenario,
-               scenario.framework.jumps ? scenario.framework.jumps->start_s()
-                                        : 0.0,
-               windows);
-  out.metrics = extract_phase_metrics(fw.phase_trace().times(),
-                                      fw.phase_trace().values(), windows);
-  out.metrics.realtime_violations = fw.realtime_violations();
-  out.metrics.cgra_runs = fw.cgra_runs();
-  out.metrics.sim_time_s = scenario.duration_s;
-  out.metrics.schedule_cycles =
-      static_cast<std::int64_t>(fw.kernel().schedule.length);
-  const obs::DeadlineStats deadline = fw.deadline().stats();
-  out.metrics.deadline_headroom_min = deadline.headroom_min;
-  out.metrics.deadline_headroom_p50 = deadline.headroom_p50;
-  out.metrics.deadline_headroom_p99 = deadline.headroom_p99;
-  out.metrics.worst_overrun_cycles = deadline.worst_overrun_cycles;
-  fill_fault_metrics(fw.injector(), fw.supervisor(),
-                     fw.phase_trace().values(), out.metrics);
-  out.metrics.wall_time_s = wall_s;
-  out.metrics.wall_over_sim =
-      scenario.duration_s > 0.0 ? wall_s / scenario.duration_s : 0.0;
-
-  if (collect_traces) {
-    out.trace_time_s = fw.phase_trace().times();
-    out.trace_phase_rad = fw.phase_trace().values();
-  }
-}
-
-void finalize_turn_result(const Scenario& scenario, hil::TurnLoop& loop,
-                          std::vector<double>&& ts,
-                          std::vector<double>&& phases, double wall_s,
-                          bool collect_traces, ScenarioResult& out) {
-  MetricWindows windows;
-  fill_windows(scenario,
-               scenario.turnloop.jumps ? scenario.turnloop.jumps->start_s()
-                                       : 0.0,
-               windows);
-  out.metrics = extract_phase_metrics(ts, phases, windows);
-  out.metrics.realtime_violations = loop.realtime_violations();
-  out.metrics.cgra_runs = loop.turn();
-  out.metrics.sim_time_s = scenario.duration_s;
-  out.metrics.schedule_cycles =
-      static_cast<std::int64_t>(loop.kernel().schedule.length);
+  windows.jump_s = jump_start_s(scenario);
+  windows.end_s = scenario.duration_s;
+  windows.f_sync_nominal_hz = scenario.f_sync_nominal_hz;
+  m = extract_phase_metrics(ts, phases, windows);
+  m.realtime_violations = loop.realtime_violations();
+  m.cgra_runs = cgra_runs;
+  m.sim_time_s = scenario.duration_s;
+  m.schedule_cycles = static_cast<std::int64_t>(loop.kernel().schedule.length);
   const obs::DeadlineStats deadline = loop.deadline().stats();
-  out.metrics.deadline_headroom_min = deadline.headroom_min;
-  out.metrics.deadline_headroom_p50 = deadline.headroom_p50;
-  out.metrics.deadline_headroom_p99 = deadline.headroom_p99;
-  out.metrics.worst_overrun_cycles = deadline.worst_overrun_cycles;
-  fill_fault_metrics(loop.injector(), loop.supervisor(), phases, out.metrics);
-  out.metrics.wall_time_s = wall_s;
-  out.metrics.wall_over_sim =
+  m.deadline_headroom_min = deadline.headroom_min;
+  m.deadline_headroom_p50 = deadline.headroom_p50;
+  m.deadline_headroom_p99 = deadline.headroom_p99;
+  m.worst_overrun_cycles = deadline.worst_overrun_cycles;
+  fill_fault_metrics(loop.injector(), loop.supervisor(), phases, m);
+  m.wall_time_s = wall_s;
+  m.wall_over_sim =
       scenario.duration_s > 0.0 ? wall_s / scenario.duration_s : 0.0;
-
-  if (collect_traces) {
-    out.trace_time_s = std::move(ts);
-    out.trace_phase_rad = std::move(phases);
-  }
-}
-
-[[nodiscard]] std::int64_t turn_count(const Scenario& scenario) {
-  return static_cast<std::int64_t>(scenario.duration_s *
-                                   scenario.turnloop.f_ref_hz);
 }
 
 /// Opt-in oracle axis: re-runs the (turn-level) scenario through the spec's
@@ -294,8 +173,7 @@ ScenarioResult run_framework_scenario(const Scenario& scenario,
 
   hil::FrameworkConfig fc = scenario.framework;
   fc.noise_seed = seed;
-  auto kernel = cache.get(hil::Framework::effective_kernel_config(fc),
-                          fc.arch);
+  auto kernel = scenario_kernel(cache, scenario);
 
   const auto wall_begin = std::chrono::steady_clock::now();
   hil::Framework fw(fc, std::move(kernel));
@@ -307,12 +185,16 @@ ScenarioResult run_framework_scenario(const Scenario& scenario,
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  finalize_framework_result(
-      scenario, fw,
-      std::chrono::duration<double>(wall_end - wall_begin).count(),
-      collect_traces, out);
+  finalize_result(scenario, fw, fw.cgra_runs(), fw.phase_trace().times(),
+                  fw.phase_trace().values(),
+                  std::chrono::duration<double>(wall_end - wall_begin).count(),
+                  out.metrics);
+  if (collect_traces) {
+    out.trace_time_s = fw.phase_trace().times();
+    out.trace_phase_rad = fw.phase_trace().values();
+  }
   if (scenario.ensemble_reference) {
-    run_ensemble_reference(scenario, seed, out);
+    fill_ensemble_reference(scenario, seed, out);
   }
   return out;
 }
@@ -327,8 +209,7 @@ ScenarioResult run_turn_scenario(const Scenario& scenario, std::size_t index,
 
   hil::TurnLoopConfig tc = scenario.turnloop;
   tc.noise_seed = seed;
-  auto kernel = cache.get(hil::TurnLoop::effective_kernel_config(tc), tc.arch,
-                          scenario_kernel_kind(scenario));
+  auto kernel = scenario_kernel(cache, scenario);
 
   const auto turns = turn_count(scenario);
   std::vector<double> ts, phases;
@@ -346,13 +227,16 @@ ScenarioResult run_turn_scenario(const Scenario& scenario, std::size_t index,
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  finalize_turn_result(
-      scenario, loop, std::move(ts), std::move(phases),
-      std::chrono::duration<double>(wall_end - wall_begin).count(),
-      collect_traces, out);
+  finalize_result(scenario, loop, loop.turn(), ts, phases,
+                  std::chrono::duration<double>(wall_end - wall_begin).count(),
+                  out.metrics);
+  if (collect_traces) {
+    out.trace_time_s = std::move(ts);
+    out.trace_phase_rad = std::move(phases);
+  }
   run_scenario_oracle(scenario, seed, out.metrics);
   if (scenario.ensemble_reference) {
-    run_ensemble_reference(scenario, seed, out);
+    fill_ensemble_reference(scenario, seed, out);
   }
   return out;
 }
@@ -397,7 +281,7 @@ void run_framework_chunk(const SweepConfig& config,
   cgra::PerLaneBusAdapter adapter(std::move(buses));
   cgra::BatchedCgraMachine machine(
       *kernel, n, adapter, cgra::Precision::kFloat32,
-      config.scenarios[members[0]].framework.exec_tier);
+      config.scenarios[members[0]].loop().exec_tier);
   for (std::size_t k = 0; k < n; ++k) {
     // Injected state faults and the supervisor's state guard act on this
     // framework's lane of the shared machine, not the idle owned one.
@@ -441,10 +325,15 @@ void run_framework_chunk(const SweepConfig& config,
     out.name = scenario.name;
     out.index = i;
     out.seed = scenario_seed(config.seed, i);
-    finalize_framework_result(scenario, *fws[k], wall_s,
-                              config.collect_traces, out);
+    const hil::Framework& fw = *fws[k];
+    finalize_result(scenario, fw, fw.cgra_runs(), fw.phase_trace().times(),
+                    fw.phase_trace().values(), wall_s, out.metrics);
+    if (config.collect_traces) {
+      out.trace_time_s = fw.phase_trace().times();
+      out.trace_phase_rad = fw.phase_trace().values();
+    }
     if (scenario.ensemble_reference) {
-      run_ensemble_reference(scenario, out.seed, out);
+      fill_ensemble_reference(scenario, out.seed, out);
     }
   }
 }
@@ -478,7 +367,7 @@ void run_turn_chunk(const SweepConfig& config,
   cgra::PerLaneBusAdapter adapter(std::move(buses));
   cgra::BatchedCgraMachine machine(
       *kernel, n, adapter, cgra::Precision::kFloat32,
-      config.scenarios[members[0]].turnloop.exec_tier);
+      config.scenarios[members[0]].loop().exec_tier);
   for (std::size_t k = 0; k < n; ++k) {
     loops[k]->attach_model(machine, k);
   }
@@ -518,12 +407,15 @@ void run_turn_chunk(const SweepConfig& config,
     out.name = scenario.name;
     out.index = i;
     out.seed = scenario_seed(config.seed, i);
-    finalize_turn_result(scenario, *loops[k], std::move(ts[k]),
-                         std::move(phases[k]), wall_s, config.collect_traces,
-                         out);
+    finalize_result(scenario, *loops[k], loops[k]->turn(), ts[k], phases[k],
+                    wall_s, out.metrics);
+    if (config.collect_traces) {
+      out.trace_time_s = std::move(ts[k]);
+      out.trace_phase_rad = std::move(phases[k]);
+    }
     run_scenario_oracle(scenario, out.seed, out.metrics);
     if (scenario.ensemble_reference) {
-      run_ensemble_reference(scenario, out.seed, out);
+      fill_ensemble_reference(scenario, out.seed, out);
     }
   }
 }
@@ -584,11 +476,7 @@ SweepResult run_sweep(const SweepConfig& config, ThreadPool* pool) {
   // of one cache key share one compiled schedule, so one profile.
   std::map<std::string, std::vector<std::size_t>> distinct;
   for (std::size_t i = 0; i < config.scenarios.size(); ++i) {
-    const auto& scenario = config.scenarios[i];
-    distinct[kernel_cache_key(scenario_kernel_config(scenario),
-                              scenario_arch(scenario),
-                              scenario_kernel_kind(scenario))]
-        .push_back(i);
+    distinct[scenario_kernel_key(config.scenarios[i])].push_back(i);
   }
   result.distinct_kernels = distinct.size();
 

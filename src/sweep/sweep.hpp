@@ -59,6 +59,17 @@ struct Scenario {
   /// a sample-accurate scenario is a ConfigError — the oracle's fidelities
   /// are all turn-granular.
   oracle::OracleSpec oracle;
+
+  /// The loop `engine` selects — `turnloop` or `framework` — as the fields
+  /// both fidelities share.
+  [[nodiscard]] hil::LoopConfig& loop() noexcept {
+    if (engine == ScenarioEngine::kTurnLevel) return turnloop;
+    return framework;
+  }
+  [[nodiscard]] const hil::LoopConfig& loop() const noexcept {
+    if (engine == ScenarioEngine::kTurnLevel) return turnloop;
+    return framework;
+  }
 };
 
 struct ScenarioResult {
