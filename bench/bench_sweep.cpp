@@ -55,8 +55,9 @@ sweep::SweepConfig acceptance_sweep() {
     for (double jump_deg : {4.0, 6.0, 8.0, 10.0}) {
       for (double gain : {-2.0, -3.5, -5.0, -6.5}) {
         sweep::Scenario s;
-        s.name = "v" + std::to_string(v_scale) + "_j" +
-                 std::to_string(jump_deg) + "_g" + std::to_string(gain);
+        s.name = 'v' + std::to_string(v_scale);
+        s.name += "_j" + std::to_string(jump_deg);
+        s.name += "_g" + std::to_string(gain);
         s.framework = paper_config();
         s.framework.gap_voltage_v *= v_scale;
         s.framework.adc_noise_rms_v = 0.002;

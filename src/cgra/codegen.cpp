@@ -4,6 +4,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -53,12 +54,22 @@ bool is_io_node(OpKind k) {
   return k == OpKind::kLoad || k == OpKind::kStore;
 }
 
-/// Emits one (kernel, precision, lanes) translation unit. See codegen.hpp
-/// for the bit-identity contract; the structure per pass is: topo order,
-/// maximal IO-free runs become SIMD block loops (width CITL_W, resolved when
-/// the *generated* code is compiled) plus a scalar tail, IO nodes get their
-/// own full-lane scalar loops so bus traffic keeps the interpreter's
-/// node-outer / lane-ascending order.
+/// The two units of one generated source: each entry point sits under its
+/// own guard, and load_or_compile() builds one object per unit, in
+/// parallel, from the same file.
+struct Unit {
+  const char* name;
+  const char* define;
+};
+constexpr Unit kDenseUnit{"dense", "CITL_UNIT_DENSE"};
+constexpr Unit kMaskedUnit{"masked", "CITL_UNIT_MASKED"};
+
+/// Emits one (kernel, precision, lanes) C11 source. See codegen.hpp for the
+/// bit-identity contract; the structure per pass is: topo order, maximal
+/// IO-free runs become SIMD block loops (width CITL_W, resolved when the
+/// *generated* code is compiled) plus a scalar tail, IO nodes get their own
+/// full-lane scalar loops so bus traffic keeps the interpreter's node-outer
+/// / lane-ascending order.
 class Emitter {
  public:
   Emitter(const CompiledKernel& kernel, Precision precision, std::size_t lanes)
@@ -81,7 +92,6 @@ class Emitter {
 
   std::string emit() {
     preamble();
-    out_ << "extern \"C\" {\n\n";
     out_ << "typedef struct citl_native_ctx_s {\n"
             "  double* values;\n"
             "  double* pipe_regs;\n"
@@ -96,11 +106,13 @@ class Emitter {
             "  void (*bus_write_at)(void* bus, unsigned lane,"
             " unsigned region, double offset, double value);\n"
             "} citl_native_ctx;\n\n";
-    out_ << "unsigned citl_native_abi(void) { return "
-         << kNativeKernelAbi << "u; }\n\n";
+    out_ << "#ifdef " << kDenseUnit.define << "\n"
+         << "unsigned citl_native_abi(void) { return " << kNativeKernelAbi
+         << "u; }\n\n";
     emit_dense();
+    out_ << "#endif\n#ifdef " << kMaskedUnit.define << "\n";
     emit_masked();
-    out_ << "}  // extern \"C\"\n";
+    out_ << "#endif\n";
     return out_.str();
   }
 
@@ -169,9 +181,16 @@ class Emitter {
       out_ << ind << "V[" << dst << " + " << lane << "] = (double)(" << A()
            << " " << op << " " << B() << ");\n";
     };
+    // C has no overloads: the f32 spelling of a libm call is the
+    // `f`-suffixed one, exactly what C++ overload resolution picked.
+    const char* const fsuf = f64_ ? "" : "f";
     auto call1 = [&](const char* fn) {
       out_ << ind << "V[" << dst << " + " << lane << "] = (double)" << fn
-           << "(" << A() << ");\n";
+           << fsuf << "(" << A() << ");\n";
+    };
+    auto call2 = [&](const char* fn) {
+      out_ << ind << "V[" << dst << " + " << lane << "] = (double)" << fn
+           << fsuf << "(" << A() << ", " << B() << ");\n";
     };
     auto cmp = [&](const char* op) {
       out_ << ind << "V[" << dst << " + " << lane << "] = " << A() << " " << op
@@ -233,21 +252,15 @@ class Emitter {
       case OpKind::kSub: bin("-"); break;
       case OpKind::kMul: bin("*"); break;
       case OpKind::kDiv: bin("/"); break;
-      case OpKind::kSqrt: call1("std::sqrt"); break;
+      case OpKind::kSqrt: call1("sqrt"); break;
       case OpKind::kNeg:
         out_ << ind << "V[" << dst << " + " << lane << "] = (double)(-"
              << A() << ");\n";
         break;
-      case OpKind::kAbs: call1("std::fabs"); break;
-      case OpKind::kMin:
-        out_ << ind << "V[" << dst << " + " << lane
-             << "] = (double)std::fmin(" << A() << ", " << B() << ");\n";
-        break;
-      case OpKind::kMax:
-        out_ << ind << "V[" << dst << " + " << lane
-             << "] = (double)std::fmax(" << A() << ", " << B() << ");\n";
-        break;
-      case OpKind::kFloor: call1("std::floor"); break;
+      case OpKind::kAbs: call1("fabs"); break;
+      case OpKind::kMin: call2("fmin"); break;
+      case OpKind::kMax: call2("fmax"); break;
+      case OpKind::kFloor: call1("floor"); break;
       case OpKind::kSin:
       case OpKind::kCos:
         out_ << ind << "{ citl_f c_, s_; citl_cordic_s(" << A()
@@ -330,11 +343,16 @@ class Emitter {
   /// the interleave only buys instruction-level parallelism. Nodes that take
   /// sine and cosine of the *same* angle share one chain outright.
   void emit_cordic_group(const std::vector<NodeId>& group, int gid) {
-    struct AngleKey {
+    struct Angle {
       NodeId producer;
       bool pipe;
+      // Whether some node reads the cosine / sine: only those outputs are
+      // declared and assigned, so the generated C stays
+      // -Wunused-but-set-variable clean.
+      bool cos = false;
+      bool sin = false;
     };
-    std::vector<AngleKey> angles;
+    std::vector<Angle> angles;
     std::vector<std::string> angle_exprs;
     std::vector<std::size_t> angle_of(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
@@ -351,25 +369,33 @@ class Emitter {
         angle_exprs.push_back(vec_operand(id, a));
       }
       angle_of[i] = u;
+      (k_.dfg.node(id).kind == OpKind::kSin ? angles[u].sin : angles[u].cos) =
+          true;
     }
     const std::string g = "cg" + std::to_string(gid) + "_";
     auto nm = [&](const char* base, std::size_t u) {
       return g + base + std::to_string(u);
     };
     for (std::size_t u = 0; u < angles.size(); ++u) {
-      out_ << "    citl_v " << nm("c", u) << ", " << nm("s", u) << ";\n";
+      out_ << "    citl_v ";
+      if (angles[u].cos) out_ << nm("c", u) << (angles[u].sin ? ", " : "");
+      if (angles[u].sin) out_ << nm("s", u);
+      out_ << ";\n";
     }
     out_ << "    {\n";
     for (std::size_t u = 0; u < angles.size(); ++u) {
-      out_ << "      double " << nm("z", u) << "_[CITL_W], " << nm("f", u)
-           << "_[CITL_W];\n"
+      // The quadrant flip only scales the cosine.
+      out_ << "      double " << nm("z", u) << "_[CITL_W]";
+      if (angles[u].cos) out_ << ", " << nm("f", u) << "_[CITL_W]";
+      out_ << ";\n"
            << "      { double a_[CITL_W]; CITL_V_STORE_D(a_, "
            << angle_exprs[u] << ");\n"
            << "        for (int w = 0; w < CITL_W; ++w) {\n"
            << "          citl_f z_, f_;\n"
            << "          citl_reduce((citl_f)a_[w], &z_, &f_);\n"
-           << "          " << nm("z", u) << "_[w] = (double)z_; " << nm("f", u)
-           << "_[w] = (double)f_;\n"
+           << "          " << nm("z", u) << "_[w] = (double)z_;";
+      if (angles[u].cos) out_ << " " << nm("f", u) << "_[w] = (double)f_;";
+      out_ << "\n"
            << "        } }\n";
     }
     for (std::size_t u = 0; u < angles.size(); ++u) {
@@ -382,9 +408,10 @@ class Emitter {
          << "; ++i) {\n"
          << "        const citl_v at = CITL_V_SET1((citl_f)citl_atan[i]);\n";
     for (std::size_t u = 0; u < angles.size(); ++u) {
-      const std::string x = "x" + std::to_string(u);
-      const std::string y = "y" + std::to_string(u);
-      const std::string z = "z" + std::to_string(u);
+      const std::string n = std::to_string(u);
+      const std::string x = 'x' + n;
+      const std::string y = 'y' + n;
+      const std::string z = 'z' + n;
       // Select form, not a ±1-factor multiply: both branch values compute in
       // parallel with the compare, keeping the z chain (the loop's critical
       // path) at compare ∥ add/sub → blend.
@@ -404,9 +431,11 @@ class Emitter {
     out_ << "        pw = CITL_V_MUL(pw, CITL_V_SET1((citl_f)0.5));\n"
          << "      }\n";
     for (std::size_t u = 0; u < angles.size(); ++u) {
-      out_ << "      " << nm("c", u) << " = CITL_V_MUL(CITL_V_LOAD_D("
-           << nm("f", u) << "_), x" << u << ");\n"
-           << "      " << nm("s", u) << " = y" << u << ";\n";
+      if (angles[u].cos) {
+        out_ << "      " << nm("c", u) << " = CITL_V_MUL(CITL_V_LOAD_D("
+             << nm("f", u) << "_), x" << u << ");\n";
+      }
+      if (angles[u].sin) out_ << "      " << nm("s", u) << " = y" << u << ";\n";
     }
     out_ << "    }\n";
     for (std::size_t i = 0; i < group.size(); ++i) {
@@ -558,7 +587,7 @@ class Emitter {
          << "', " << (f64_ ? "f64" : "f32") << ", " << lanes_
          << " lane(s). DO NOT EDIT.\n"
          << "#include \"citl_simd_portability.h\"\n"
-            "#include <cmath>\n\n"
+            "#include <math.h>\n\n"
          << "#define CITL_PREC_F64 " << (f64_ ? 1 : 0) << "\n"
          << "#define CITL_LANES " << lanes_ << "\n\n";
     out_ <<
@@ -629,10 +658,10 @@ class Emitter {
          << "#define CITL_GAIN_INV " << hex_double(detail::kCordicGainInv)
          << "\n\n";
     out_ <<
-        "static double citl_rem2pi_slow(double x) {\n"
-        "  return std::remainder(x, CITL_TWO_PI);\n"
+        "static inline double citl_rem2pi_slow(double x) {\n"
+        "  return remainder(x, CITL_TWO_PI);\n"
         "}\n\n"
-        "// Bit-exact std::remainder(x, 2*pi) without a libm call on the hot\n"
+        "// Bit-exact remainder(x, 2*pi) without a libm call on the hot\n"
         "// path. n = rint(x / 2pi) is within one of the nearest integer for\n"
         "// |x| < 1e12, and fma(-n, 2pi, x) performs a single rounding of the\n"
         "// exact x - n*2pi -- which is no rounding at all once n is the true\n"
@@ -642,16 +671,16 @@ class Emitter {
         "// round) and oversized or non-finite inputs take the library call.\n"
         "static inline double citl_rem2pi(double x) {\n"
         "  if (!(x > -1.0e12 && x < 1.0e12)) return citl_rem2pi_slow(x);\n"
-        "  double n = std::rint(x * CITL_INV_TWO_PI);\n"
-        "  double r = std::fma(-n, CITL_TWO_PI, x);\n"
+        "  double n = rint(x * CITL_INV_TWO_PI);\n"
+        "  double r = fma(-n, CITL_TWO_PI, x);\n"
         "  if (r > CITL_PI) {\n"
         "    n += 1.0;\n"
-        "    r = std::fma(-n, CITL_TWO_PI, x);\n"
+        "    r = fma(-n, CITL_TWO_PI, x);\n"
         "  } else if (r < -CITL_PI) {\n"
         "    n -= 1.0;\n"
-        "    r = std::fma(-n, CITL_TWO_PI, x);\n"
+        "    r = fma(-n, CITL_TWO_PI, x);\n"
         "  }\n"
-        "  if (std::fabs(std::fabs(r) - CITL_PI) < 1.0e-9) {\n"
+        "  if (fabs(fabs(r) - CITL_PI) < 1.0e-9) {\n"
         "    return citl_rem2pi_slow(x);\n"
         "  }\n"
         "  return r;\n"
@@ -713,17 +742,44 @@ class Emitter {
 // Compiler discovery (once per process)
 // ---------------------------------------------------------------------------
 
-/// Runs `cmd` through the shell, captures combined stdout+stderr into `out`.
-/// Returns the exit status (-1 when popen itself fails).
-int run_command(const std::string& cmd, std::string* out) {
+/// Starts `cmd` through the shell with its stdout+stderr piped back (null
+/// when popen itself fails); finish_command() reaps it.
+FILE* start_command(const std::string& cmd) {
+  return ::popen((cmd + " 2>&1").c_str(), "r");
+}
+
+/// Drains a started command's combined output into `out`, then reaps it.
+/// Returns the exit status (-1 when the command never started).
+int finish_command(FILE* p, std::string* out) {
   out->clear();
-  FILE* p = ::popen((cmd + " 2>&1").c_str(), "r");
   if (p == nullptr) return -1;
   char buf[4096];
   std::size_t got;
   while ((got = std::fread(buf, 1, sizeof buf, p)) > 0) out->append(buf, got);
-  const int status = ::pclose(p);
-  return status;
+  return ::pclose(p);
+}
+
+int run_command(const std::string& cmd, std::string* out) {
+  return finish_command(start_command(cmd), out);
+}
+
+std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// 32-hex digest: FNV-1a under two offset bases.
+std::string digest_hex(const std::string& s) {
+  const std::uint64_t h1 = fnv1a(s, 14695981039346656037ull);
+  const std::uint64_t h2 = fnv1a(s, 0x9e3779b97f4a7c15ull);
+  char buf[33];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                static_cast<unsigned long long>(h1),
+                static_cast<unsigned long long>(h2));
+  return buf;
 }
 
 std::string first_line(const std::string& s) {
@@ -745,8 +801,9 @@ struct CompilerInfo {
   bool available = false;
   std::string cc;       ///< resolved compiler command
   std::string version;  ///< first line of `cc --version`
-  std::string flags;    ///< full flag string used for kernel compiles
+  std::string flags;    ///< full flag string used for kernel unit compiles
   std::string arch;     ///< "avx2" / "neon" / "scalar" under those flags
+  std::string target;   ///< digest of the sorted `-dM -E` macro list
   std::string error;    ///< why discovery failed (for last_error())
 };
 
@@ -783,18 +840,19 @@ CompilerInfo discover_compiler() {
     info.error += ")";
     return info;
   }
+  // The generated kernels are plain C11: a C++ driver compiles them with its
+  // C front end, which parses <immintrin.h> and <math.h> in a fraction of
+  // the time C++ mode takes. -shared belongs to the link step alone.
   const std::string base_flags =
-      "-std=c++17 -O3 -fPIC -shared -ffp-contract=off -fno-math-errno";
+      "-x c -std=c11 -O3 -fPIC -ffp-contract=off -fno-math-errno";
   // -march=native when the compiler accepts it (probing also tells us which
   // SIMD back end the generated kernels will select).
   std::string probe;
   std::string flags = base_flags + " -march=native";
-  if (run_command(shell_quote(info.cc) + " " + flags +
-                      " -dM -E -x c++ /dev/null",
+  if (run_command(shell_quote(info.cc) + " " + flags + " -dM -E /dev/null",
                   &probe) != 0) {
     flags = base_flags;
-    if (run_command(shell_quote(info.cc) + " " + flags +
-                        " -dM -E -x c++ /dev/null",
+    if (run_command(shell_quote(info.cc) + " " + flags + " -dM -E /dev/null",
                     &probe) != 0) {
       info.error = "compiler probe failed: " + first_line(probe);
       return info;
@@ -809,6 +867,20 @@ CompilerInfo discover_compiler() {
   } else {
     info.arch = "scalar";
   }
+  // The resolved target: every macro the compiler predefines under these
+  // flags, sorted (their order is not a contract). It pins the exact ISA
+  // extensions -march=native enabled, so the cache key tells an AVX-512
+  // host from an AVX2 one where the flag string and `arch` cannot.
+  std::vector<std::string> macros;
+  std::istringstream lines(probe);
+  for (std::string line; std::getline(lines, line);) macros.push_back(line);
+  std::sort(macros.begin(), macros.end());
+  std::string sorted;
+  for (const std::string& m : macros) {
+    sorted += m;
+    sorted += '\n';
+  }
+  info.target = digest_hex(sorted);
   info.available = true;
   return info;
 }
@@ -822,16 +894,8 @@ const CompilerInfo& compiler_info() {
 // Content hash, disk cache, loading
 // ---------------------------------------------------------------------------
 
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// 32-hex content key: emitted source + everything that changes the produced
-/// machine code (compiler version, flags, target SIMD arch, ABI tag).
+/// machine code (compiler version, flags, resolved target, ABI tag).
 std::string content_hash(const std::string& source, const CompilerInfo& ci) {
   std::string all = source;
   all += '\0';
@@ -839,16 +903,10 @@ std::string content_hash(const std::string& source, const CompilerInfo& ci) {
   all += '\0';
   all += ci.flags;
   all += '\0';
-  all += ci.arch;
+  all += ci.target;
   all += '\0';
   all += std::to_string(kNativeKernelAbi);
-  const std::uint64_t h1 = fnv1a(all, 14695981039346656037ull);
-  const std::uint64_t h2 = fnv1a(all, 0x9e3779b97f4a7c15ull);
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h1),
-                static_cast<unsigned long long>(h2));
-  return buf;
+  return digest_hex(all);
 }
 
 /// Atomic file publication: write to a pid-suffixed temp name, rename into
@@ -1124,7 +1182,7 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     return nullptr;
   }
   const fs::path so = dir / (hash + ".so");
-  const fs::path cpp = dir / (hash + ".cpp");
+  const fs::path src = dir / (hash + ".c");
   const fs::path report = dir / (hash + ".json");
 
   // Warm path: a previously cached .so that passes full verification.
@@ -1160,25 +1218,54 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
   // bakes the hash into the binary so verification can detect a swapped or
   // truncated .so.
   std::string full = source;
-  full += "extern \"C\" const char* citl_native_hash(void) { return \"";
+  full += "#ifdef ";
+  full += kDenseUnit.define;
+  full += "\nconst char* citl_native_hash(void) { return \"";
   full += hash;
-  full += "\"; }\n";
-  if (!write_file_atomic(cpp, full, error)) return nullptr;
+  full += "\"; }\n#endif\n";
+  if (!write_file_atomic(src, full, error)) return nullptr;
 
-  const fs::path so_tmp =
-      so.string() + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  const std::string cmd = shell_quote(ci.cc) + " " + ci.flags + " -I " +
-                          shell_quote(dir.string()) + " -o " +
-                          shell_quote(so_tmp.string()) + " " +
-                          shell_quote(cpp.string());
-  std::string cc_out;
+  // Both units compile at once from the one source, then link into the .so.
+  // Temporaries carry the pid, like write_file_atomic's, so processes
+  // sharing the cache dir never collide; they are removed on every path.
+  const std::string tmp =
+      ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const fs::path so_tmp = so.string() + tmp;
+  const Unit units[] = {kDenseUnit, kMaskedUnit};
+  fs::path objs[2];
+  FILE* running[2];
   const auto t0 = std::chrono::steady_clock::now();
-  const int status = run_command(cmd, &cc_out);
+  for (int u = 0; u < 2; ++u) {
+    objs[u] = dir / (hash + "." + units[u].name + tmp + ".o");
+    running[u] = start_command(
+        shell_quote(ci.cc) + " " + ci.flags + " -D" + units[u].define +
+        " -I " + shell_quote(dir.string()) + " -c -o " +
+        shell_quote(objs[u].string()) + " " + shell_quote(src.string()));
+  }
+  std::string failure;
+  for (int u = 0; u < 2; ++u) {
+    std::string cc_out;
+    if (finish_command(running[u], &cc_out) != 0 && failure.empty()) {
+      failure = "kernel compile failed (" + ci.cc + ", " + units[u].name +
+                " unit): " + first_line(cc_out);
+    }
+  }
+  if (failure.empty()) {
+    std::string ld_out;
+    if (run_command(shell_quote(ci.cc) + " -shared -o " +
+                        shell_quote(so_tmp.string()) + " " +
+                        shell_quote(objs[0].string()) + " " +
+                        shell_quote(objs[1].string()) + " -lm",
+                    &ld_out) != 0) {
+      failure = "kernel link failed (" + ci.cc + "): " + first_line(ld_out);
+    }
+  }
   const auto t1 = std::chrono::steady_clock::now();
   *compile_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (status != 0) {
-    *error = "kernel compile failed (" + ci.cc + "): " + first_line(cc_out);
+  for (const fs::path& o : objs) fs::remove(o, ec);
+  if (!failure.empty()) {
+    *error = failure;
     fs::remove(so_tmp, ec);
     return nullptr;
   }
@@ -1204,6 +1291,7 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
       << "  \"compiler\": \"" << json_escape(ci.cc) << "\",\n"
       << "  \"compiler_version\": \"" << json_escape(ci.version) << "\",\n"
       << "  \"flags\": \"" << json_escape(ci.flags) << "\",\n"
+      << "  \"target_digest\": \"" << ci.target << "\",\n"
       << "  \"compile_ms\": " << *compile_ms << ",\n"
       << "  \"disk_hit\": " << (*disk_hit ? "true" : "false") << ",\n"
       << "  \"repaired\": " << (*repaired ? "true" : "false") << "\n"

@@ -1,23 +1,26 @@
 // Native codegen tier: SCAR schedules compiled to machine code at run time.
 //
 // emit_kernel_source() lowers a compiled kernel's dataflow graph to
-// straight-line C++ — one translation unit per (kernel, precision, lane
-// width) — with explicit SIMD over the SoA lane rows via the
-// simd_portability.hpp macro layer (AVX2 / NEON / scalar). The emitted code
-// is bit-identical to the interpreter by construction: sources and moves
-// stay in the raw double domain, compute nodes quantise at operand use
-// exactly like cgra/exec.hpp, fmin/fmax/CORDIC go through the same scalar
-// libm/iteration sequences, and FP contraction is disabled at compile time.
+// straight-line C11 — one source per (kernel, precision, lane width) — with
+// explicit SIMD over the SoA lane rows via the simd_portability.hpp macro
+// layer (AVX2 / NEON / scalar). The emitted code is bit-identical to the
+// interpreter by construction: sources and moves stay in the raw double
+// domain, compute nodes quantise at operand use exactly like cgra/exec.hpp,
+// fmin/fmax/CORDIC go through the same scalar libm/iteration sequences, and
+// FP contraction is disabled at compile time.
 //
-// NativeKernelCache::get() turns that source into a callable: it is keyed by
-// a content hash (emitted source + compiler version + flags + ABI tag),
-// memoised in-process, and persisted under a disk cache directory
-// ($CITL_KERNEL_CACHE_DIR, default /tmp/citl-kernel-cache-<uid>) holding
-// <hash>.cpp / <hash>.so / <hash>.json (a compilation report). A corrupt or
-// mismatched .so is deleted and recompiled. When no host compiler can be
-// found (or $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the engine
-// falls back to the interpreter — nothing in the pipeline requires a
-// toolchain at run time.
+// NativeKernelCache::get() turns that source into a callable: it compiles
+// the source as two units at once (the dense and the masked entry point,
+// each under its own guard) and links both objects into one .so. It is
+// keyed by a content hash (emitted source + compiler version + flags + the
+// compiler's resolved target macros + ABI tag), memoised in-process, and
+// persisted under a disk cache directory ($CITL_KERNEL_CACHE_DIR, default
+// /tmp/citl-kernel-cache-<uid>) holding <hash>.c / <hash>.so / <hash>.json
+// (a compilation report). A corrupt or mismatched .so is deleted and
+// recompiled. When no host compiler can be found (or
+// $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the engine falls back
+// to the interpreter — nothing in the pipeline requires a toolchain at run
+// time.
 //
 // Compiler discovery order: $CITL_CODEGEN_CC (explicit, no fallthrough — set
 // it to a bogus path to force the fallback), the compiler that built this
@@ -65,7 +68,7 @@ struct NativeCtx {
                        double offset, double value) = nullptr;
 };
 
-/// Emits the C++ translation unit for one (kernel, precision, lanes) triple.
+/// Emits the C11 source for one (kernel, precision, lanes) triple.
 /// Deterministic: byte-identical input -> byte-identical source (the content
 /// hash depends on it).
 [[nodiscard]] std::string emit_kernel_source(const CompiledKernel& kernel,
@@ -92,8 +95,9 @@ class NativeKernel {
   }
 
   [[nodiscard]] const std::string& hash() const noexcept { return hash_; }
-  /// Wall-clock cost of the host-compiler invocation that produced the .so
-  /// this process loaded; 0 when it came straight from the disk cache.
+  /// Wall-clock cost of the host-compiler invocations (both unit compiles
+  /// and the link) that produced the .so this process loaded; 0 when it came
+  /// straight from the disk cache.
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
   [[nodiscard]] bool disk_hit() const noexcept { return disk_hit_; }
   [[nodiscard]] bool repaired() const noexcept { return repaired_; }
@@ -112,7 +116,7 @@ class NativeKernel {
 /// cgra.codegen.compiles / memo_hits / disk_hits / repairs / fallbacks /
 /// compile_ms_total).
 struct CodegenStats {
-  std::uint64_t compiles = 0;   ///< host-compiler invocations
+  std::uint64_t compiles = 0;   ///< kernels built by the host compiler
   std::uint64_t memo_hits = 0;  ///< served from the in-process memo
   std::uint64_t disk_hits = 0;  ///< dlopen'd a previously cached .so
   std::uint64_t repairs = 0;    ///< corrupt cached .so deleted + recompiled

@@ -111,7 +111,7 @@ std::vector<Token> lex(std::string_view src) {
       if (two == "==" || two == "<=" || two == ">=" || two == "!=") {
         Token t;
         t.kind = TokKind::kPunct;
-        t.text.assign(two);
+        t.text = std::string(two);
         t.line = line;
         t.column = col;
         advance(2);

@@ -204,7 +204,7 @@ class Parser {
       const Token t = take();
       ExprPtr inner = parse_unary();
       ExprPtr e = make(Expr::Kind::kUnary, t);
-      e->name = "-";
+      e->name.assign(1, '-');
       e->args.push_back(std::move(inner));
       return e;
     }

@@ -1,16 +1,16 @@
 // Portable explicit-SIMD layer for generated CGRA kernels.
 //
-// The native codegen tier (cgra/codegen.hpp) emits straight-line C++ that
+// The native codegen tier (cgra/codegen.hpp) emits straight-line C11 that
 // evaluates one dataflow node across a block of SoA lanes per statement.
 // This header gives that code one vocabulary over three back ends:
 //
 //   CITL_SIMD_AVX2   — x86-64 AVX2: 4 x f64 (citl_vd), 8 x f32 (citl_vf)
 //   CITL_SIMD_NEON   — AArch64 NEON: 2 x f64, 4 x f32
-//   CITL_SIMD_SCALAR — plain C++ fallback: width 1 (any toolchain)
+//   CITL_SIMD_SCALAR — plain C fallback: width 1 (any toolchain)
 //
 // Every operation is bit-exact per lane with the scalar semantics in
 // cgra/exec.hpp — that is the whole point, and it dictates some choices:
-//   * min/max go through std::fmin/std::fmax lane-by-lane (vminpd/vmaxpd
+//   * min/max go through fmin/fmax lane-by-lane (vminpd/vmaxpd
 //     disagree with fmin/fmax on NaN and signed-zero handling),
 //   * negation flips the sign bit (0.0 - x would turn -0.0 into +0.0),
 //   * select masks use an UNORDERED != 0 compare (NaN selects the "true"
@@ -18,13 +18,12 @@
 //   * the CORDIC's quadrant test uses an ORDERED >= compare (NaN takes the
 //     "negative" arm, like a scalar `zr >= F(0)`).
 //
-// The file is self-contained (standard headers only): the build embeds it
-// verbatim next to every generated kernel as citl_simd_portability.h, so
+// The file is self-contained C11 (standard headers only): the build embeds
+// it verbatim next to every generated kernel as citl_simd_portability.h, so
 // compiled kernels do not include repo headers.
 #pragma once
 
-#include <cmath>
-#include <cstdint>
+#include <math.h>
 
 #if defined(__AVX2__)
 #define CITL_SIMD_AVX2 1
@@ -266,34 +265,36 @@ static inline citl_vf citl_vf_select(citl_vf c, citl_vf a, citl_vf b) {
 // block loop then simply walks lanes one at a time).
 // ===========================================================================
 
-struct citl_vd { double v; };
-typedef bool citl_vdm;
+typedef struct {
+  double v;
+} citl_vd;
+typedef int citl_vdm;
 #define CITL_VD_WIDTH 1
 
-static inline citl_vd citl_vd_load(const double* p) { return citl_vd{*p}; }
+static inline citl_vd citl_vd_load(const double* p) { return (citl_vd){*p}; }
 static inline void citl_vd_store(double* p, citl_vd v) { *p = v.v; }
-static inline citl_vd citl_vd_set1(double x) { return citl_vd{x}; }
+static inline citl_vd citl_vd_set1(double x) { return (citl_vd){x}; }
 static inline citl_vd citl_vd_add(citl_vd a, citl_vd b) {
-  return citl_vd{a.v + b.v};
+  return (citl_vd){a.v + b.v};
 }
 static inline citl_vd citl_vd_sub(citl_vd a, citl_vd b) {
-  return citl_vd{a.v - b.v};
+  return (citl_vd){a.v - b.v};
 }
 static inline citl_vd citl_vd_mul(citl_vd a, citl_vd b) {
-  return citl_vd{a.v * b.v};
+  return (citl_vd){a.v * b.v};
 }
 static inline citl_vd citl_vd_div(citl_vd a, citl_vd b) {
-  return citl_vd{a.v / b.v};
+  return (citl_vd){a.v / b.v};
 }
 static inline citl_vd citl_vd_sqrt(citl_vd a) {
-  return citl_vd{std::sqrt(a.v)};
+  return (citl_vd){sqrt(a.v)};
 }
 static inline citl_vd citl_vd_floor(citl_vd a) {
-  return citl_vd{std::floor(a.v)};
+  return (citl_vd){floor(a.v)};
 }
-static inline citl_vd citl_vd_neg(citl_vd a) { return citl_vd{-a.v}; }
+static inline citl_vd citl_vd_neg(citl_vd a) { return (citl_vd){-a.v}; }
 static inline citl_vd citl_vd_abs(citl_vd a) {
-  return citl_vd{std::fabs(a.v)};
+  return (citl_vd){fabs(a.v)};
 }
 static inline citl_vd citl_vd_sel(citl_vdm m, citl_vd a, citl_vd b) {
   return m ? a : b;
@@ -301,50 +302,52 @@ static inline citl_vd citl_vd_sel(citl_vdm m, citl_vd a, citl_vd b) {
 static inline citl_vdm citl_vd_ge0(citl_vd a) { return a.v >= 0.0; }
 static inline citl_vdm citl_vd_neq0(citl_vd a) { return a.v != 0.0; }
 static inline citl_vd citl_vd_lt(citl_vd a, citl_vd b) {
-  return citl_vd{a.v < b.v ? 1.0 : 0.0};
+  return (citl_vd){a.v < b.v ? 1.0 : 0.0};
 }
 static inline citl_vd citl_vd_le(citl_vd a, citl_vd b) {
-  return citl_vd{a.v <= b.v ? 1.0 : 0.0};
+  return (citl_vd){a.v <= b.v ? 1.0 : 0.0};
 }
 static inline citl_vd citl_vd_eq(citl_vd a, citl_vd b) {
-  return citl_vd{a.v == b.v ? 1.0 : 0.0};
+  return (citl_vd){a.v == b.v ? 1.0 : 0.0};
 }
 static inline citl_vd citl_vd_select(citl_vd c, citl_vd a, citl_vd b) {
   return c.v != 0.0 ? a : b;
 }
 
-struct citl_vf { float v; };
-typedef bool citl_vfm;
+typedef struct {
+  float v;
+} citl_vf;
+typedef int citl_vfm;
 #define CITL_VF_WIDTH 1
 
 static inline citl_vf citl_vf_load_d(const double* p) {
-  return citl_vf{static_cast<float>(*p)};
+  return (citl_vf){(float)*p};
 }
 static inline void citl_vf_store_d(double* p, citl_vf v) {
-  *p = static_cast<double>(v.v);
+  *p = (double)v.v;
 }
-static inline citl_vf citl_vf_set1(float x) { return citl_vf{x}; }
+static inline citl_vf citl_vf_set1(float x) { return (citl_vf){x}; }
 static inline citl_vf citl_vf_add(citl_vf a, citl_vf b) {
-  return citl_vf{a.v + b.v};
+  return (citl_vf){a.v + b.v};
 }
 static inline citl_vf citl_vf_sub(citl_vf a, citl_vf b) {
-  return citl_vf{a.v - b.v};
+  return (citl_vf){a.v - b.v};
 }
 static inline citl_vf citl_vf_mul(citl_vf a, citl_vf b) {
-  return citl_vf{a.v * b.v};
+  return (citl_vf){a.v * b.v};
 }
 static inline citl_vf citl_vf_div(citl_vf a, citl_vf b) {
-  return citl_vf{a.v / b.v};
+  return (citl_vf){a.v / b.v};
 }
 static inline citl_vf citl_vf_sqrt(citl_vf a) {
-  return citl_vf{std::sqrt(a.v)};
+  return (citl_vf){sqrtf(a.v)};
 }
 static inline citl_vf citl_vf_floor(citl_vf a) {
-  return citl_vf{std::floor(a.v)};
+  return (citl_vf){floorf(a.v)};
 }
-static inline citl_vf citl_vf_neg(citl_vf a) { return citl_vf{-a.v}; }
+static inline citl_vf citl_vf_neg(citl_vf a) { return (citl_vf){-a.v}; }
 static inline citl_vf citl_vf_abs(citl_vf a) {
-  return citl_vf{std::fabs(a.v)};
+  return (citl_vf){fabsf(a.v)};
 }
 static inline citl_vf citl_vf_sel(citl_vfm m, citl_vf a, citl_vf b) {
   return m ? a : b;
@@ -352,13 +355,13 @@ static inline citl_vf citl_vf_sel(citl_vfm m, citl_vf a, citl_vf b) {
 static inline citl_vfm citl_vf_ge0(citl_vf a) { return a.v >= 0.0f; }
 static inline citl_vfm citl_vf_neq0(citl_vf a) { return a.v != 0.0f; }
 static inline citl_vf citl_vf_lt(citl_vf a, citl_vf b) {
-  return citl_vf{a.v < b.v ? 1.0f : 0.0f};
+  return (citl_vf){a.v < b.v ? 1.0f : 0.0f};
 }
 static inline citl_vf citl_vf_le(citl_vf a, citl_vf b) {
-  return citl_vf{a.v <= b.v ? 1.0f : 0.0f};
+  return (citl_vf){a.v <= b.v ? 1.0f : 0.0f};
 }
 static inline citl_vf citl_vf_eq(citl_vf a, citl_vf b) {
-  return citl_vf{a.v == b.v ? 1.0f : 0.0f};
+  return (citl_vf){a.v == b.v ? 1.0f : 0.0f};
 }
 static inline citl_vf citl_vf_select(citl_vf c, citl_vf a, citl_vf b) {
   return c.v != 0.0f ? a : b;
@@ -367,20 +370,20 @@ static inline citl_vf citl_vf_select(citl_vf c, citl_vf a, citl_vf b) {
 #endif
 
 /// Lane-exact fmin/fmax: the scalar semantics (cgra/exec.hpp) are
-/// std::fmin/std::fmax, whose NaN and signed-zero behaviour differs from the
+/// fmin/fmax, whose NaN and signed-zero behaviour differs from the
 /// hardware min/max instructions — so these go through libm lane by lane.
 static inline citl_vd citl_vd_fmin(citl_vd a, citl_vd b) {
   double ta[CITL_VD_WIDTH], tb[CITL_VD_WIDTH];
   citl_vd_store(ta, a);
   citl_vd_store(tb, b);
-  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = std::fmin(ta[i], tb[i]);
+  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = fmin(ta[i], tb[i]);
   return citl_vd_load(ta);
 }
 static inline citl_vd citl_vd_fmax(citl_vd a, citl_vd b) {
   double ta[CITL_VD_WIDTH], tb[CITL_VD_WIDTH];
   citl_vd_store(ta, a);
   citl_vd_store(tb, b);
-  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = std::fmax(ta[i], tb[i]);
+  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = fmax(ta[i], tb[i]);
   return citl_vd_load(ta);
 }
 static inline citl_vf citl_vf_fmin(citl_vf a, citl_vf b) {
@@ -388,8 +391,7 @@ static inline citl_vf citl_vf_fmin(citl_vf a, citl_vf b) {
   citl_vf_store_d(ta, a);
   citl_vf_store_d(tb, b);
   for (int i = 0; i < CITL_VF_WIDTH; ++i) {
-    ta[i] = static_cast<double>(std::fmin(static_cast<float>(ta[i]),
-                                          static_cast<float>(tb[i])));
+    ta[i] = (double)fminf((float)ta[i], (float)tb[i]);
   }
   return citl_vf_load_d(ta);
 }
@@ -398,14 +400,13 @@ static inline citl_vf citl_vf_fmax(citl_vf a, citl_vf b) {
   citl_vf_store_d(ta, a);
   citl_vf_store_d(tb, b);
   for (int i = 0; i < CITL_VF_WIDTH; ++i) {
-    ta[i] = static_cast<double>(std::fmax(static_cast<float>(ta[i]),
-                                          static_cast<float>(tb[i])));
+    ta[i] = (double)fmaxf((float)ta[i], (float)tb[i]);
   }
   return citl_vf_load_d(ta);
 }
 
 /// Name of the selected back end (compilation reports, obs labels).
-static inline const char* citl_simd_arch() {
+static inline const char* citl_simd_arch(void) {
 #if CITL_SIMD_AVX2
   return "avx2";
 #elif CITL_SIMD_NEON

@@ -138,7 +138,8 @@ std::vector<Scenario> ScenarioGridBuilder::build() const {
             if (!harmonics_.empty()) {
               loop.kernel.ring.harmonic = harmonics_[h];
               if (!name.empty() && name.back() != '_') name += '_';
-              name += "h" + std::to_string(harmonics_[h]);
+              name += 'h';
+              name += std::to_string(harmonics_[h]);
             }
             if (!species_.empty()) {
               loop.kernel.ion = species_[i];

@@ -1,7 +1,8 @@
 // The kernel execution tiers (interpreter / native codegen): bit identity
 // of the native tier for every kernel and precision at one lane and with
-// masked lanes, the disk cache's cold, warm and corrupt-artifact paths, the
-// no-compiler fallback, config threading over the wire, and the
+// masked lanes, the shape of the emitted C11 source, the disk cache's cold,
+// warm and corrupt-artifact paths and its key, the no-compiler and
+// failed-unit fallbacks, config threading over the wire, and the
 // differential oracle bisecting over natively compiled engines. Every lane
 // is held to the one-lane cycle-accurate walk (values and states) and the
 // one-lane interpreter (bus write order) — engine_check.hpp. Every suite
@@ -9,9 +10,13 @@
 // --gtest_filter='Codegen*'.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +75,25 @@ std::vector<KernelCase> kernel_cases() {
 
 bool native_available() { return NativeKernelCache::compiler_available(); }
 
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Writes an executable /bin/sh script standing in for the host compiler
+/// (tests point $CITL_CODEGEN_CC at it).
+void write_compiler_wrapper(const std::string& path, const std::string& body) {
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << "#!/bin/sh\n" << body;
+  }
+  std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+}
+
 // --- identity: every kernel x precision ------------------------------------
 
 TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
@@ -118,6 +142,38 @@ TEST(CodegenIdentity, AutoResolvesAndMatches) {
                                 300);
 }
 
+// --- the emitted source ------------------------------------------------------
+
+TEST(CodegenSource, PlainC11WithOnePreludeAndBothEntryPoints) {
+  for (const KernelCase& c : kernel_cases()) {
+    for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
+      for (std::size_t lanes : {1u, 8u}) {
+        SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64 " : " f32 ") +
+                     std::to_string(lanes));
+        const std::string src = emit_kernel_source(c.kernel, p, lanes);
+        EXPECT_EQ(count_of(src, "std::"), 0u);
+        EXPECT_EQ(count_of(src, "extern \"C\""), 0u);
+        EXPECT_EQ(count_of(src, "<cmath>"), 0u);
+        EXPECT_EQ(count_of(src, "<cstdint>"), 0u);
+        EXPECT_EQ(count_of(src, "#include <math.h>"), 1u);
+        // The prelude (macros, atan table, helpers) is emitted once and
+        // shared; each entry point sits under its own unit guard.
+        EXPECT_EQ(count_of(src, "static const double citl_atan["), 1u);
+        EXPECT_EQ(count_of(src, "void citl_run_dense("), 1u);
+        EXPECT_EQ(count_of(src, "void citl_run_masked("), 1u);
+        const auto dense_guard = src.find("#ifdef CITL_UNIT_DENSE\n");
+        const auto dense = src.find("void citl_run_dense(");
+        const auto masked_guard = src.find("#ifdef CITL_UNIT_MASKED\n");
+        const auto masked = src.find("void citl_run_masked(");
+        EXPECT_LT(src.find("citl_atan["), dense_guard);
+        EXPECT_LT(dense_guard, dense);
+        EXPECT_LT(dense, masked_guard);
+        EXPECT_LT(masked_guard, masked);
+      }
+    }
+  }
+}
+
 // --- the disk cache ---------------------------------------------------------
 
 class ScopedCacheDir {
@@ -151,6 +207,22 @@ TEST(CodegenCache, ColdCompileThenWarmDiskHit) {
   EXPECT_FALSE(cold->disk_hit());
   EXPECT_GT(cold->compile_ms(), 0.0);
   EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
+
+  // The cold build leaves exactly the source, the .so, the report and the
+  // portability header: no unit objects, no temporaries.
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(cache_dir.dir())) {
+    files.push_back(e.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  const std::string h = cold->hash();
+  EXPECT_EQ(files, (std::vector<std::string>{h + ".c", h + ".json", h + ".so",
+                                             "citl_simd_portability.h"}));
+  std::ifstream report_file(cache_dir.dir() + "/" + h + ".json");
+  const std::string report((std::istreambuf_iterator<char>(report_file)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(report.find("-std=c11"), std::string::npos) << report;
+  EXPECT_NE(report.find("\"target_digest\": \""), std::string::npos) << report;
 
   // Same key, same process: served from the in-process memo.
   auto memo = cache.get(kernel, Precision::kFloat64, 8);
@@ -206,6 +278,47 @@ TEST(CodegenCache, CorruptSharedObjectIsRepaired) {
                                 Precision::kFloat32, 100);
 }
 
+TEST(CodegenCache, KeyCoversTheCompilersResolvedTarget) {
+  if (!native_available()) {
+    GTEST_SKIP() << "no host compiler: native tier unavailable";
+  }
+  // Same driver, version and flag string, but one more predefined macro:
+  // the stand-in for a host where -march=native resolves to another target
+  // (an AVX-512 .so must never be served to an AVX2 host). Discovery is
+  // memoised per process, so the wrapper runs in a re-executed child (a
+  // threadsafe death test); the child re-runs this body with the wrapper
+  // already resolved, hence the guard around writing it.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScopedCacheDir cache_dir("citl_codegen_key_probe");
+  const CompiledKernel kernel =
+      compile_kernel(demo_oscillator_source(), grid_5x5(), "demo_oscillator");
+  const std::string wrapper = ::testing::TempDir() + "citl_key_probe_cc";
+  const std::string child_key = ::testing::TempDir() + "citl_key_probe_hash";
+  if (NativeKernelCache::compiler_command() != wrapper) {
+    write_compiler_wrapper(wrapper, "exec '" +
+                                        NativeKernelCache::compiler_command() +
+                                        "' -DCITL_KEY_PROBE=1 \"$@\"\n");
+    std::filesystem::remove(child_key);
+  }
+  ::setenv("CITL_CODEGEN_CC", wrapper.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        auto k = NativeKernelCache::global().get(kernel, Precision::kFloat64, 1);
+        if (k == nullptr) std::exit(2);
+        std::ofstream(child_key) << k->hash();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::unsetenv("CITL_CODEGEN_CC");
+
+  auto own = NativeKernelCache::global().get(kernel, Precision::kFloat64, 1);
+  ASSERT_NE(own, nullptr) << NativeKernelCache::global().last_error();
+  std::string theirs;
+  std::ifstream(child_key) >> theirs;
+  EXPECT_EQ(theirs.size(), own->hash().size());
+  EXPECT_NE(theirs, own->hash());
+}
+
 // --- fallback ---------------------------------------------------------------
 
 TEST(CodegenFallback, NoCompilerFallsBackToInterpreter) {
@@ -236,6 +349,81 @@ TEST(CodegenFallback, NoCompilerFallsBackToInterpreter) {
         // And the fallback computes the interpreter's numbers bit for bit.
         check_engine_against_one_lane(kernel, 1, ExecTier::kNative,
                                       Precision::kFloat64, 100);
+        std::exit(::testing::Test::HasFailure() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::unsetenv("CITL_CODEGEN_CC");
+}
+
+TEST(CodegenFallback, FailedMaskedUnitFallsBackAndCleansUp) {
+  if (!native_available()) {
+    GTEST_SKIP() << "no host compiler: native tier unavailable";
+  }
+  // A compiler that builds the dense unit but refuses the masked one: the
+  // whole kernel falls back, the error names the unit, and neither unit's
+  // object nor the half-built .so survives. Runs in a re-executed child for
+  // the same reason as the test above.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScopedCacheDir cache_dir("citl_codegen_masked_fails");
+  const std::string wrapper = ::testing::TempDir() + "citl_masked_fails_cc";
+  if (NativeKernelCache::compiler_command() != wrapper) {
+    write_compiler_wrapper(
+        wrapper, "case \" $* \" in *\" -DCITL_UNIT_MASKED \"*)\n"
+                 "  echo 'test compiler refuses the masked unit' >&2; exit 1;;\n"
+                 "esac\n"
+                 "exec '" + NativeKernelCache::compiler_command() +
+                     "' \"$@\"\n");
+  }
+  ::setenv("CITL_CODEGEN_CC", wrapper.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        const CompiledKernel kernel = compile_kernel(
+            demo_oscillator_source(), grid_5x5(), "demo_oscillator");
+        auto& cache = NativeKernelCache::global();
+        const CodegenStats before = cache.stats();
+        EXPECT_EQ(cache.get(kernel, Precision::kFloat64, 8), nullptr);
+        EXPECT_EQ(cache.stats().fallbacks, before.fallbacks + 1);
+        EXPECT_EQ(cache.stats().compiles, before.compiles);
+        EXPECT_NE(cache.last_error().find("masked unit"), std::string::npos)
+            << cache.last_error();
+        for (const auto& e :
+             std::filesystem::directory_iterator(cache_dir.dir())) {
+          const std::string name = e.path().filename().string();
+          EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+          EXPECT_NE(e.path().extension(), ".o") << name;
+          EXPECT_NE(e.path().extension(), ".so") << name;
+        }
+        // An engine asking for the native tier gets the memoised failure:
+        // it runs the interpreter and matches an interpreter engine bit for
+        // bit, lane by lane.
+        std::vector<std::unique_ptr<test_support::LaneFnBus>> buses;
+        std::vector<SensorBus*> fallen_buses;
+        std::vector<SensorBus*> interp_buses;
+        for (std::size_t l = 0; l < 8; ++l) {
+          buses.push_back(std::make_unique<test_support::LaneFnBus>(l));
+          fallen_buses.push_back(buses.back().get());
+          buses.push_back(std::make_unique<test_support::LaneFnBus>(l));
+          interp_buses.push_back(buses.back().get());
+        }
+        PerLaneBusAdapter fallen_bus(std::move(fallen_buses));
+        PerLaneBusAdapter interp_bus(std::move(interp_buses));
+        BatchedCgraMachine fallen(kernel, 8, fallen_bus, Precision::kFloat64,
+                                  ExecTier::kNative);
+        BatchedCgraMachine interp(kernel, 8, interp_bus, Precision::kFloat64,
+                                  ExecTier::kInterpreter);
+        EXPECT_EQ(fallen.exec_tier(), ExecTier::kInterpreter);
+        for (int iter = 0; iter < 100; ++iter) {
+          fallen.run_iteration_all_lanes();
+          interp.run_iteration_all_lanes();
+          for (std::size_t n = 0; n < kernel.dfg.size(); ++n) {
+            for (std::size_t l = 0; l < 8; ++l) {
+              const auto id = static_cast<NodeId>(n);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(fallen.value(id, l)),
+                        std::bit_cast<std::uint64_t>(interp.value(id, l)))
+                  << "iteration " << iter << ", node " << n << ", lane " << l;
+            }
+          }
+        }
         std::exit(::testing::Test::HasFailure() ? 1 : 0);
       },
       ::testing::ExitedWithCode(0), "");
