@@ -10,12 +10,13 @@
 #include <utility>
 
 #include "cgra/batch.hpp"
+#include "cgra/kernels.hpp"
+#include "cgra/source_eval.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "io/csv.hpp"
 #include "io/json.hpp"
 #include "obs/recorder.hpp"
-#include "oracle/host_model.hpp"
 
 namespace citl::oracle {
 namespace {
@@ -111,9 +112,12 @@ class FidelityRun {
       case Fidelity::kHostF64: {
         auto& loop = *loops_.emplace_back(std::make_unique<TurnLoop>(
             config, kernel_, TurnLoop::ExternalModel{}));
-        model_ = std::make_unique<HostReferenceModel>(
-            kernel_, hil::effective_kernel_config(config),
-            config.synthesize_waveform, loop.cgra_bus());
+        const cgra::BeamKernelConfig kc = hil::effective_kernel_config(config);
+        model_ = std::make_unique<cgra::SourceEvaluator>(
+            kernel_,
+            config.synthesize_waveform ? cgra::analytic_beam_kernel_source(kc)
+                                       : cgra::beam_kernel_source(kc),
+            loop.cgra_bus());
         loop.attach_model(*model_, 0);
         break;
       }

@@ -1,8 +1,8 @@
 // Cross-fidelity differential oracle with automatic divergence bisection.
 //
-// Runs one turn-loop scenario through a *pair* of fidelities (pure-double
-// host reference, serial CGRA machine in f32/f64, lane 0 of a batched
-// machine) in lockstep and compares the per-turn observables — gamma_r,
+// Runs one turn-loop scenario through a *pair* of fidelities (the kernel
+// source evaluated in binary64, serial CGRA machine in f32/f64, lane 0 of a
+// batched machine) in lockstep and compares the per-turn observables — gamma_r,
 // dgamma, dt and the measured bunch phase — under per-quantity ULP/absolute
 // tolerance budgets (tolerance.hpp). On the first out-of-budget turn it
 //   1. bisects the first divergent turn with checkpoint/rollback probes
