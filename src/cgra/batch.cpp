@@ -365,14 +365,14 @@ void BatchedCgraMachine::run_pass(const LaneMap& lm, std::size_t n) {
         for (std::size_t k = 0; k < n; ++k) {
           const std::size_t l = lm(k);
           out[l] = static_cast<double>(
-              std::fmin(static_cast<F>(a[l]), static_cast<F>(b[l])));
+              detail::pe_min(static_cast<F>(a[l]), static_cast<F>(b[l])));
         }
         break;
       case OpKind::kMax:
         for (std::size_t k = 0; k < n; ++k) {
           const std::size_t l = lm(k);
           out[l] = static_cast<double>(
-              std::fmax(static_cast<F>(a[l]), static_cast<F>(b[l])));
+              detail::pe_max(static_cast<F>(a[l]), static_cast<F>(b[l])));
         }
         break;
       case OpKind::kFloor:

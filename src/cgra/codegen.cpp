@@ -181,8 +181,9 @@ class Emitter {
       out_ << ind << "V[" << dst << " + " << lane << "] = (double)(" << A()
            << " " << op << " " << B() << ");\n";
     };
-    // C has no overloads: the f32 spelling of a libm call is the
-    // `f`-suffixed one, exactly what C++ overload resolution picked.
+    // C has no overloads: the f32 spelling of a libm call (or of a
+    // citl_fmin/citl_fmax helper) is the `f`-suffixed one, exactly what C++
+    // overload resolution picked.
     const char* const fsuf = f64_ ? "" : "f";
     auto call1 = [&](const char* fn) {
       out_ << ind << "V[" << dst << " + " << lane << "] = (double)" << fn
@@ -258,8 +259,8 @@ class Emitter {
              << A() << ");\n";
         break;
       case OpKind::kAbs: call1("fabs"); break;
-      case OpKind::kMin: call2("fmin"); break;
-      case OpKind::kMax: call2("fmax"); break;
+      case OpKind::kMin: call2("citl_fmin"); break;
+      case OpKind::kMax: call2("citl_fmax"); break;
       case OpKind::kFloor: call1("floor"); break;
       case OpKind::kSin:
       case OpKind::kCos:

@@ -6,7 +6,7 @@
 // layer (AVX2 / NEON / scalar). The emitted code is bit-identical to the
 // interpreter by construction: sources and moves stay in the raw double
 // domain, compute nodes quantise at operand use exactly like cgra/exec.hpp,
-// fmin/fmax/CORDIC go through the same scalar libm/iteration sequences, and
+// min/max/CORDIC go through the same scalar rules and iteration sequences, and
 // FP contraction is disabled at compile time.
 //
 // NativeKernelCache::get() turns that source into a callable: it compiles

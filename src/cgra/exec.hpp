@@ -82,6 +82,28 @@ inline void cordic_rotate(F angle, F* out_cos, F* out_sin) {
   *out_sin = y;
 }
 
+/// fminf/fmaxf as the PEs compute them. C leaves the sign of a zero tie
+/// open, and libm and the compiler's inline expansions settle it
+/// differently, so the rules are spelled out once here and every path uses
+/// them (the native kernels through citl_fmin/citl_fmax in
+/// simd_portability.hpp, written the same way): a NaN operand loses to a
+/// number, as in C, and -0 orders below +0 whatever the operand order.
+template <typename F>
+inline F pe_min(F a, F b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == b) return std::signbit(a) ? a : b;
+  return a < b ? a : b;
+}
+
+template <typename F>
+inline F pe_max(F a, F b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == b) return std::signbit(a) ? b : a;
+  return a < b ? b : a;
+}
+
 /// Evaluates one arithmetic operator in working precision F, returning the
 /// result widened back to double (the overlay stores binary32 everywhere;
 /// the simulator keeps doubles and quantises at the operator boundary).
@@ -98,8 +120,8 @@ inline double eval_scalar(OpKind kind, double a, double b, double c) {
     case OpKind::kSqrt: return static_cast<double>(std::sqrt(fa));
     case OpKind::kNeg: return static_cast<double>(-fa);
     case OpKind::kAbs: return static_cast<double>(std::fabs(fa));
-    case OpKind::kMin: return static_cast<double>(std::fmin(fa, fb));
-    case OpKind::kMax: return static_cast<double>(std::fmax(fa, fb));
+    case OpKind::kMin: return static_cast<double>(pe_min(fa, fb));
+    case OpKind::kMax: return static_cast<double>(pe_max(fa, fb));
     case OpKind::kFloor: return static_cast<double>(std::floor(fa));
     case OpKind::kSin: {
       F cc, ss;

@@ -10,8 +10,9 @@
 //
 // Every operation is bit-exact per lane with the scalar semantics in
 // cgra/exec.hpp — that is the whole point, and it dictates some choices:
-//   * min/max go through fmin/fmax lane-by-lane (vminpd/vmaxpd
-//     disagree with fmin/fmax on NaN and signed-zero handling),
+//   * min/max go lane by lane through citl_fmin/citl_fmax, which spell
+//     out the PEs' NaN and signed-zero rules (vminpd/vmaxpd and libm
+//     fmin/fmax each settle a zero tie their own way),
 //   * negation flips the sign bit (0.0 - x would turn -0.0 into +0.0),
 //   * select masks use an UNORDERED != 0 compare (NaN selects the "true"
 //     arm, exactly like `fa != F(0)` on a scalar NaN),
@@ -369,21 +370,48 @@ static inline citl_vf citl_vf_select(citl_vf c, citl_vf a, citl_vf b) {
 
 #endif
 
-/// Lane-exact fmin/fmax: the scalar semantics (cgra/exec.hpp) are
-/// fmin/fmax, whose NaN and signed-zero behaviour differs from the
-/// hardware min/max instructions — so these go through libm lane by lane.
+/// fminf/fmaxf as the PEs compute them — pe_min/pe_max in cgra/exec.hpp,
+/// spelled the same way: a NaN operand loses to a number, and -0 orders
+/// below +0 whatever the operand order. libm's fmin and the hardware
+/// min/max instructions each settle a zero tie their own way.
+static inline double citl_fmin(double a, double b) {
+  if (isnan(a)) return b;
+  if (isnan(b)) return a;
+  if (a == b) return signbit(a) ? a : b;
+  return a < b ? a : b;
+}
+static inline double citl_fmax(double a, double b) {
+  if (isnan(a)) return b;
+  if (isnan(b)) return a;
+  if (a == b) return signbit(a) ? b : a;
+  return a < b ? b : a;
+}
+static inline float citl_fminf(float a, float b) {
+  if (isnan(a)) return b;
+  if (isnan(b)) return a;
+  if (a == b) return signbit(a) ? a : b;
+  return a < b ? a : b;
+}
+static inline float citl_fmaxf(float a, float b) {
+  if (isnan(a)) return b;
+  if (isnan(b)) return a;
+  if (a == b) return signbit(a) ? b : a;
+  return a < b ? b : a;
+}
+
+/// Lane-exact min/max: the helpers above, lane by lane.
 static inline citl_vd citl_vd_fmin(citl_vd a, citl_vd b) {
   double ta[CITL_VD_WIDTH], tb[CITL_VD_WIDTH];
   citl_vd_store(ta, a);
   citl_vd_store(tb, b);
-  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = fmin(ta[i], tb[i]);
+  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = citl_fmin(ta[i], tb[i]);
   return citl_vd_load(ta);
 }
 static inline citl_vd citl_vd_fmax(citl_vd a, citl_vd b) {
   double ta[CITL_VD_WIDTH], tb[CITL_VD_WIDTH];
   citl_vd_store(ta, a);
   citl_vd_store(tb, b);
-  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = fmax(ta[i], tb[i]);
+  for (int i = 0; i < CITL_VD_WIDTH; ++i) ta[i] = citl_fmax(ta[i], tb[i]);
   return citl_vd_load(ta);
 }
 static inline citl_vf citl_vf_fmin(citl_vf a, citl_vf b) {
@@ -391,7 +419,7 @@ static inline citl_vf citl_vf_fmin(citl_vf a, citl_vf b) {
   citl_vf_store_d(ta, a);
   citl_vf_store_d(tb, b);
   for (int i = 0; i < CITL_VF_WIDTH; ++i) {
-    ta[i] = (double)fminf((float)ta[i], (float)tb[i]);
+    ta[i] = (double)citl_fminf((float)ta[i], (float)tb[i]);
   }
   return citl_vf_load_d(ta);
 }
@@ -400,7 +428,7 @@ static inline citl_vf citl_vf_fmax(citl_vf a, citl_vf b) {
   citl_vf_store_d(ta, a);
   citl_vf_store_d(tb, b);
   for (int i = 0; i < CITL_VF_WIDTH; ++i) {
-    ta[i] = (double)fmaxf((float)ta[i], (float)tb[i]);
+    ta[i] = (double)citl_fmaxf((float)ta[i], (float)tb[i]);
   }
   return citl_vf_load_d(ta);
 }

@@ -29,8 +29,14 @@ using test_support::LaneFnBus;
 
 struct KernelCase {
   std::string label;
+  std::string source;
   CompiledKernel kernel;
 };
+
+KernelCase make_case(std::string label, std::string source, std::string name) {
+  CompiledKernel kernel = compile_kernel(source, grid_5x5(), std::move(name));
+  return {std::move(label), std::move(source), std::move(kernel)};
+}
 
 std::vector<KernelCase> kernel_cases() {
   BeamKernelConfig kc;  // defaults: 14N7+, SIS18, gamma0 = 1.2
@@ -39,25 +45,19 @@ std::vector<KernelCase> kernel_cases() {
   BeamKernelConfig pipelined = kc;
   pipelined.pipelined = true;
   pipelined.n_bunches = 4;
-  cases.push_back({"sampled_pipelined",
-                   compile_kernel(beam_kernel_source(pipelined), grid_5x5(),
-                                  "beam_sampled")});
+  cases.push_back(make_case("sampled_pipelined", beam_kernel_source(pipelined),
+                            "beam_sampled"));
 
   BeamKernelConfig flat = kc;
   flat.interpolate = false;
-  cases.push_back({"sampled_flat",
-                   compile_kernel(beam_kernel_source(flat), grid_5x5(),
-                                  "beam_sampled")});
-
-  cases.push_back({"analytic",
-                   compile_kernel(analytic_beam_kernel_source(kc), grid_5x5(),
-                                  "beam_analytic")});
-  cases.push_back({"ramp",
-                   compile_kernel(ramp_beam_kernel_source(kc), grid_5x5(),
-                                  "beam_ramp")});
-  cases.push_back({"demo",
-                   compile_kernel(demo_oscillator_source(), grid_5x5(),
-                                  "demo_oscillator")});
+  cases.push_back(
+      make_case("sampled_flat", beam_kernel_source(flat), "beam_sampled"));
+  cases.push_back(make_case("analytic", analytic_beam_kernel_source(kc),
+                            "beam_analytic"));
+  cases.push_back(
+      make_case("ramp", ramp_beam_kernel_source(kc), "beam_ramp"));
+  cases.push_back(
+      make_case("demo", demo_oscillator_source(), "demo_oscillator"));
   return cases;
 }
 
@@ -67,16 +67,18 @@ std::vector<KernelCase> kernel_cases() {
 TEST(Batch, LockstepMatchesSerialEveryKernelFloat32) {
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    test_support::check_engine_against_one_lane(
-        c.kernel, 5, ExecTier::kInterpreter, Precision::kFloat32, 40);
+    test_support::check_engine_against_one_lane(c.kernel, c.source, 5,
+                                                ExecTier::kInterpreter,
+                                                Precision::kFloat32, 40);
   }
 }
 
 TEST(Batch, LockstepMatchesSerialEveryKernelFloat64) {
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    test_support::check_engine_against_one_lane(
-        c.kernel, 5, ExecTier::kInterpreter, Precision::kFloat64, 40);
+    test_support::check_engine_against_one_lane(c.kernel, c.source, 5,
+                                                ExecTier::kInterpreter,
+                                                Precision::kFloat64, 40);
   }
 }
 
@@ -85,8 +87,9 @@ TEST(Batch, LockstepMatchesCycleAccurateSingleLane) {
   // including the one-lane engine every closed loop owns.
   for (const auto& c : kernel_cases()) {
     SCOPED_TRACE(c.label);
-    test_support::check_engine_against_one_lane(
-        c.kernel, 1, ExecTier::kInterpreter, Precision::kFloat32, 40);
+    test_support::check_engine_against_one_lane(c.kernel, c.source, 1,
+                                                ExecTier::kInterpreter,
+                                                Precision::kFloat32, 40);
   }
 }
 

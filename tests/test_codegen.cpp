@@ -43,8 +43,15 @@ using test_support::check_engine_against_one_lane;
 
 struct KernelCase {
   std::string label;
+  std::string source;
   CompiledKernel kernel;
 };
+
+KernelCase make_case(std::string label, std::string source,
+                     const CgraArch& arch, std::string name) {
+  CompiledKernel kernel = compile_kernel(source, arch, std::move(name));
+  return {std::move(label), std::move(source), std::move(kernel)};
+}
 
 /// Every kernel family the repo ships, including the CORDIC-heavy codegen
 /// showcase (the bench headline workload).
@@ -55,21 +62,16 @@ std::vector<KernelCase> kernel_cases() {
   BeamKernelConfig pipelined = kc;
   pipelined.pipelined = true;
   pipelined.n_bunches = 4;
-  cases.push_back({"sampled_pipelined",
-                   compile_kernel(beam_kernel_source(pipelined), grid_5x5(),
-                                  "beam_sampled")});
-  cases.push_back({"analytic",
-                   compile_kernel(analytic_beam_kernel_source(kc), grid_5x5(),
-                                  "beam_analytic")});
-  cases.push_back({"ramp",
-                   compile_kernel(ramp_beam_kernel_source(kc), grid_5x5(),
-                                  "beam_ramp")});
-  cases.push_back({"demo",
-                   compile_kernel(demo_oscillator_source(), grid_5x5(),
-                                  "demo_oscillator")});
-  cases.push_back({"cavity_iq_servo",
-                   compile_kernel(cavity_iq_servo_source(), grid_4x4(),
-                                  "cavity_iq_servo")});
+  cases.push_back(make_case("sampled_pipelined", beam_kernel_source(pipelined),
+                            grid_5x5(), "beam_sampled"));
+  cases.push_back(make_case("analytic", analytic_beam_kernel_source(kc),
+                            grid_5x5(), "beam_analytic"));
+  cases.push_back(make_case("ramp", ramp_beam_kernel_source(kc), grid_5x5(),
+                            "beam_ramp"));
+  cases.push_back(make_case("demo", demo_oscillator_source(), grid_5x5(),
+                            "demo_oscillator"));
+  cases.push_back(make_case("cavity_iq_servo", cavity_iq_servo_source(),
+                            grid_4x4(), "cavity_iq_servo"));
   return cases;
 }
 
@@ -103,7 +105,8 @@ TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
   for (const KernelCase& c : kernel_cases()) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      check_engine_against_one_lane(c.kernel, 1, ExecTier::kNative, p, 300);
+      check_engine_against_one_lane(c.kernel, c.source, 1, ExecTier::kNative,
+                                    p, 300);
       ASSERT_EQ(NativeKernelCache::global().stats().fallbacks, 0u);
     }
   }
@@ -117,16 +120,15 @@ TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
   pipelined.pipelined = true;
   pipelined.n_bunches = 4;
   std::vector<KernelCase> cases;
-  cases.push_back({"sampled_pipelined",
-                   compile_kernel(beam_kernel_source(pipelined), grid_5x5(),
-                                  "beam_sampled")});
-  cases.push_back({"cavity_iq_servo",
-                   compile_kernel(cavity_iq_servo_source(), grid_4x4(),
-                                  "cavity_iq_servo")});
+  cases.push_back(make_case("sampled_pipelined", beam_kernel_source(pipelined),
+                            grid_5x5(), "beam_sampled"));
+  cases.push_back(make_case("cavity_iq_servo", cavity_iq_servo_source(),
+                            grid_4x4(), "cavity_iq_servo"));
   for (const KernelCase& c : cases) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      check_engine_against_one_lane(c.kernel, 8, ExecTier::kNative, p, 150);
+      check_engine_against_one_lane(c.kernel, c.source, 8, ExecTier::kNative,
+                                    p, 150);
     }
   }
 }
@@ -138,8 +140,8 @@ TEST(CodegenIdentity, AutoResolvesAndMatches) {
   BatchedCgraMachine m(kernel, bus, Precision::kFloat64, ExecTier::kAuto);
   EXPECT_EQ(m.exec_tier(), native_available() ? ExecTier::kNative
                                               : ExecTier::kInterpreter);
-  check_engine_against_one_lane(kernel, 1, ExecTier::kAuto, Precision::kFloat64,
-                                300);
+  check_engine_against_one_lane(kernel, cavity_iq_servo_source(), 1,
+                                ExecTier::kAuto, Precision::kFloat64, 300);
 }
 
 // --- the emitted source ------------------------------------------------------
@@ -274,8 +276,8 @@ TEST(CodegenCache, CorruptSharedObjectIsRepaired) {
 
   // The recompiled kernel is the real thing, not a husk: identity holds on
   // the very (f32, 4-lane) kernel that was repaired.
-  check_engine_against_one_lane(kernel, 4, ExecTier::kNative,
-                                Precision::kFloat32, 100);
+  check_engine_against_one_lane(kernel, demo_oscillator_source(), 4,
+                                ExecTier::kNative, Precision::kFloat32, 100);
 }
 
 TEST(CodegenCache, KeyCoversTheCompilersResolvedTarget) {
@@ -347,8 +349,9 @@ TEST(CodegenFallback, NoCompilerFallsBackToInterpreter) {
         EXPECT_EQ(NativeKernelCache::global().stats().fallbacks,
                   before.fallbacks + 1);
         // And the fallback computes the interpreter's numbers bit for bit.
-        check_engine_against_one_lane(kernel, 1, ExecTier::kNative,
-                                      Precision::kFloat64, 100);
+        check_engine_against_one_lane(kernel, demo_oscillator_source(), 1,
+                                      ExecTier::kNative, Precision::kFloat64,
+                                      100);
         std::exit(::testing::Test::HasFailure() ? 1 : 0);
       },
       ::testing::ExitedWithCode(0), "");
