@@ -99,8 +99,8 @@ class Dfg {
            !op_is_source(node(producer).kind);
   }
 
-  /// Intra-iteration predecessors of `id`: value operands and order deps
-  /// whose edges do NOT cross the pipeline boundary.
+  /// Intra-iteration predecessors of `id`: value operands whose edges do
+  /// NOT cross the pipeline boundary, and every order dep.
   [[nodiscard]] std::vector<NodeId> intra_preds(NodeId id) const;
 
   /// Topological order of the intra-iteration DAG. Throws if cyclic.
