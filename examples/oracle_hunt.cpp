@@ -2,8 +2,8 @@
 // 32-scenario grid (jump amplitude x controller gain x harmonic) is run
 // through three reference/candidate fidelity pairs —
 //
-//   host-f64  vs serial-f64   exact budget: the offline reference mirrors
-//                             the kernel op for op, so any mismatch is a bug
+//   host-f64  vs serial-f64   exact budget: the host reference evaluates
+//                             the kernel source, so any mismatch is a bug
 //   serial-f32 vs batched-f32 exact budget: lanes are bit-identical to the
 //                             serial machine by construction
 //   host-f64  vs serial-f32   mixed-precision budget: f32 drift must stay
