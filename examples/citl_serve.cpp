@@ -83,10 +83,12 @@ int main(int argc, char** argv) {
   std::printf("serving citl-wire-v1 on 127.0.0.1:%u\n",
               static_cast<unsigned>(server.port()));
 
-  // The serve counters register as a collector: one scrape shows the
-  // process-wide metrics registry and the citl_serve_* family side by side.
+  // The runtime's registry (its own counters and the endpoint's) renders
+  // through the same obs renderer as the process-wide registry; as a
+  // collector it puts the citl_serve_* family on the one /metrics scrape.
   obs::ScrapeServer scrape;
-  scrape.add_collector([&server] { return server.prometheus_text(); });
+  scrape.add_collector(
+      [&server] { return server.runtime().prometheus_text(); });
   scrape.start(static_cast<std::uint16_t>(metrics_port));
   std::printf("serving /metrics on http://127.0.0.1:%u/metrics\n",
               static_cast<unsigned>(scrape.port()));

@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "core/error.hpp"
-#include "obs/deadline.hpp"
 
 namespace citl::obs {
 
@@ -177,43 +176,6 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
 
 std::string prometheus_text(const Registry& registry) {
   return prometheus_text(registry.snapshot());
-}
-
-std::string prometheus_deadline_text(const DeadlineProfiler& profiler) {
-  std::string out;
-  std::string last_typed;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;
-  bounds.reserve(DeadlineProfiler::kBuckets);
-  counts.reserve(DeadlineProfiler::kBuckets + 1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < DeadlineProfiler::kBuckets; ++i) {
-    bounds.push_back(DeadlineProfiler::bucket_upper_bound(i));
-    counts.push_back(profiler.bucket_count(i));
-    total += profiler.bucket_count(i);
-  }
-  counts.push_back(profiler.bucket_count(DeadlineProfiler::kBuckets));
-  total += profiler.bucket_count(DeadlineProfiler::kBuckets);
-  const DeadlineStats stats = profiler.stats();
-  // The profiler keeps bucket counts but not an occupancy sum; approximate
-  // _sum from mean headroom (occupancy = 1 - headroom), which it does track
-  // exactly.
-  const double occupancy_sum =
-      (1.0 - stats.headroom_mean) * static_cast<double>(stats.revolutions);
-  append_histogram(out, "citl_hil_deadline_occupancy", "", bounds, counts,
-                   total, occupancy_sum, last_typed);
-  append_type_line(out, "citl_hil_deadline_revolutions", "counter",
-                   last_typed);
-  append_sample(out, "citl_hil_deadline_revolutions", "",
-                static_cast<std::uint64_t>(stats.revolutions));
-  append_type_line(out, "citl_hil_deadline_misses", "counter", last_typed);
-  append_sample(out, "citl_hil_deadline_misses", "",
-                static_cast<std::uint64_t>(stats.misses));
-  append_type_line(out, "citl_hil_deadline_worst_overrun_cycles", "gauge",
-                   last_typed);
-  append_sample(out, "citl_hil_deadline_worst_overrun_cycles", "",
-                stats.worst_overrun_cycles);
-  return out;
 }
 
 ScrapeServer::ScrapeServer(const Registry& registry) : registry_(&registry) {}

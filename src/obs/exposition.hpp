@@ -2,12 +2,11 @@
 // concrete slice of ROADMAP item 2's HIL-as-a-service surface.
 //
 // Two pieces:
-//   * renderers that turn a MetricsSnapshot / DeadlineProfiler into valid
-//     Prometheus text: `# TYPE` lines, cumulative `le`-labelled histogram
-//     buckets terminated by `+Inf`, and `_count`/`_sum` series (the registry
-//     histogram itself uses upper-inclusive bounds — see obs/metrics.hpp —
-//     so the cumulative buckets rendered here are exact, not off by the
-//     on-boundary count),
+//   * the renderer that turns a MetricsSnapshot into valid Prometheus text:
+//     `# TYPE` lines, cumulative `le`-labelled histogram buckets terminated
+//     by `+Inf`, and `_count`/`_sum` series (the registry histogram itself
+//     uses upper-inclusive bounds — see obs/metrics.hpp — so the cumulative
+//     buckets rendered here are exact, not off by the on-boundary count),
 //   * ScrapeServer: a deliberately minimal blocking single-threaded HTTP
 //     endpoint serving `GET /metrics`. Opt-in and off by default — nothing
 //     in the stack opens a socket unless an operator asks for it — and
@@ -35,8 +34,6 @@
 
 namespace citl::obs {
 
-class DeadlineProfiler;
-
 /// Maps a registry name (dots, label brackets) to a bare Prometheus metric
 /// name: "citl_" prefix, dots and other invalid characters become '_', any
 /// "[...]" label suffix is stripped.
@@ -48,13 +45,6 @@ class DeadlineProfiler;
 /// Convenience: snapshot + render in one call.
 [[nodiscard]] std::string prometheus_text(const Registry& registry);
 
-/// Renders a DeadlineProfiler as Prometheus text: the occupancy histogram
-/// (`citl_hil_deadline_occupancy` with cumulative `le` buckets over the
-/// profiler's fixed grid), plus revolution/miss counters and the worst
-/// overrun gauge.
-[[nodiscard]] std::string prometheus_deadline_text(
-    const DeadlineProfiler& profiler);
-
 /// Minimal blocking single-threaded HTTP scrape endpoint.
 ///
 /// One background thread accepts one connection at a time, answers
@@ -64,9 +54,9 @@ class DeadlineProfiler;
 /// the single-threaded loop keeps the attack/bug surface near zero.
 class ScrapeServer {
  public:
-  /// Extra exposition text appended after the registry render (deadline
-  /// histograms, attribution tables, ...). Must return valid Prometheus
-  /// text ending in '\n'. Called on the server thread.
+  /// Extra exposition text appended after the registry render (a session
+  /// runtime's series, attribution tables, ...). Must return valid
+  /// Prometheus text ending in '\n'. Called on the server thread.
   using Collector = std::function<std::string()>;
 
   explicit ScrapeServer(const Registry& registry = Registry::global());

@@ -1,6 +1,7 @@
 #include "serve/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/exposition.hpp"
 #include "serve/journal.hpp"
 
 namespace citl::serve {
@@ -140,7 +142,19 @@ SessionRuntime::SessionRuntime(RuntimeConfig config)
       gate_(std::make_unique<StepGate>(
           config.max_concurrent_steps != 0
               ? config.max_concurrent_steps
-              : std::thread::hardware_concurrency())) {
+              : std::thread::hardware_concurrency())),
+      sessions_created_(metrics_.counter("serve.sessions_created_total")),
+      sessions_destroyed_(metrics_.counter("serve.sessions_destroyed_total")),
+      admission_rejections_(
+          metrics_.counter("serve.admission_rejected_total")),
+      step_requests_(metrics_.counter("serve.step_requests_total")),
+      turns_stepped_(metrics_.counter("serve.turns_total")),
+      sessions_recovered_(metrics_.counter("serve.sessions_recovered_total")),
+      sessions_reaped_(metrics_.counter("serve.sessions_reaped_total")),
+      journal_records_(metrics_.counter("serve.journal_records_total")),
+      journal_bytes_(metrics_.counter("serve.journal_bytes_total")),
+      journals_corrupt_(metrics_.counter("serve.journals_corrupt_total")),
+      step_replays_(metrics_.counter("serve.step_replays_total")) {
   if (!config_.state_dir.empty()) {
     std::filesystem::create_directories(config_.state_dir);
   }
@@ -196,50 +210,31 @@ std::shared_ptr<SessionRuntime::Session> SessionRuntime::build_session(
 
 std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
                                      std::uint64_t nonce) {
+  // Validate first: a malformed config is kInvalidConfig (etc.) even when
+  // the pool is full, never an admission problem.
+  api::validate(config);
+
+  std::lock_guard<std::mutex> lk(sessions_mutex_);
   if (nonce != 0) {
     // A retried create (response lost, request re-sent) must not leak an
     // orphan session: the nonce identifies the original request.
-    std::lock_guard<std::mutex> lk(sessions_mutex_);
     auto it = nonces_.find(nonce);
     if (it != nonces_.end()) return it->second;
   }
-
-  // Expand + validate first: a malformed config is kInvalidConfig (etc.),
-  // never an admission problem.
-  {
-    // Cheap pre-check before paying for a compilation.
-    std::lock_guard<std::mutex> lk(sessions_mutex_);
-    if (sessions_.size() >= config_.max_sessions) {
-      admission_rejections_.fetch_add(1, std::memory_order_relaxed);
-      throw ConfigError(
-          "admission rejected: session pool is full (" +
-              std::to_string(sessions_.size()) + " of " +
-              std::to_string(config_.max_sessions) + " sessions live)",
-          ErrorCode::kAdmissionRejected);
-    }
-  }
-
-  // build_session validates the config (api::to_turnloop_config) before the
-  // id is assigned, so a bad config never consumes an id or a journal file.
-  std::lock_guard<std::mutex> lk(sessions_mutex_);
   if (sessions_.size() >= config_.max_sessions) {
-    admission_rejections_.fetch_add(1, std::memory_order_relaxed);
+    admission_rejections_.add();
     throw ConfigError(
         "admission rejected: session pool is full (" +
             std::to_string(sessions_.size()) + " of " +
             std::to_string(config_.max_sessions) + " sessions live)",
         ErrorCode::kAdmissionRejected);
   }
-  if (nonce != 0) {
-    // Re-check under the lock we still hold: a concurrent retry may have
-    // won the race between the early check and here.
-    auto it = nonces_.find(nonce);
-    if (it != nonces_.end()) return it->second;
-  }
+  // The kernel compiles before the id is assigned, so a config the
+  // toolchain refuses never consumes an id or a journal file.
   auto session = build_session(next_id_, config);
   const double aggregate = aggregate_occupancy_locked();
   if (aggregate + session->static_occupancy > config_.occupancy_budget) {
-    admission_rejections_.fetch_add(1, std::memory_order_relaxed);
+    admission_rejections_.add();
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "admission rejected: aggregate CGRA occupancy %.3f + new "
@@ -257,15 +252,11 @@ std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
     WireWriter w;
     encode_session_config(w, config);
     w.u64(nonce);
-    const std::uint64_t b0 = session->journal.bytes_written();
-    session->journal.append(JournalRecordType::kConfig, w.bytes());
-    journal_records_.fetch_add(1, std::memory_order_relaxed);
-    journal_bytes_.fetch_add(session->journal.bytes_written() - b0,
-                             std::memory_order_relaxed);
+    append_journal(*session, JournalRecordType::kConfig, w);
   }
   if (nonce != 0) nonces_.emplace(nonce, id);
   sessions_.emplace(id, std::move(session));
-  sessions_created_.fetch_add(1, std::memory_order_relaxed);
+  sessions_created_.add();
   return id;
 }
 
@@ -290,8 +281,8 @@ void SessionRuntime::destroy_session(std::uint32_t id, bool reaped) {
     std::lock_guard<std::mutex> lk(doomed->mutex);
     doomed->journal.discard();
   }
-  sessions_destroyed_.fetch_add(1, std::memory_order_relaxed);
-  if (reaped) sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
+  sessions_destroyed_.add();
+  if (reaped) sessions_reaped_.add();
 }
 
 std::size_t SessionRuntime::reap_idle() {
@@ -330,14 +321,14 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
                       ErrorCode::kOutOfRange);
   }
   auto s = find(id);
-  step_requests_.fetch_add(1, std::memory_order_relaxed);
+  step_requests_.add();
 
   std::lock_guard<std::mutex> session_lock(s->mutex);
   if (step_seq != 0) {
     if (step_seq == s->step_seq) {
       // Exactly-once retry: the step already applied; re-serve the cached
       // response instead of stepping twice.
-      step_replays_.fetch_add(1, std::memory_order_relaxed);
+      step_replays_.add();
       return s->last_step_records;
     }
     if (step_seq != s->step_seq + 1) {
@@ -364,11 +355,7 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
       WireWriter w;
       w.u64(s->step_seq);
       encode_checkpoint(w, s->loop.checkpoint());
-      const std::uint64_t b0 = s->journal.bytes_written();
-      s->journal.append(JournalRecordType::kCheckpoint, w.bytes());
-      journal_records_.fetch_add(1, std::memory_order_relaxed);
-      journal_bytes_.fetch_add(s->journal.bytes_written() - b0,
-                               std::memory_order_relaxed);
+      append_journal(*s, JournalRecordType::kCheckpoint, w);
       s->turns_since_checkpoint = 0;
     }
     // Write-ahead: the step is durable before it executes, so a crash
@@ -377,11 +364,7 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
     WireWriter w;
     w.u32(turns);
     w.u64(seq);
-    const std::uint64_t b0 = s->journal.bytes_written();
-    s->journal.append(JournalRecordType::kStep, w.bytes());
-    journal_records_.fetch_add(1, std::memory_order_relaxed);
-    journal_bytes_.fetch_add(s->journal.bytes_written() - b0,
-                             std::memory_order_relaxed);
+    append_journal(*s, JournalRecordType::kStep, w);
   }
 
   std::vector<hil::TurnRecord> out;
@@ -400,27 +383,22 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
   s->last_step_records = out;
   s->turns_since_checkpoint += static_cast<std::int64_t>(turns);
   s->publish();
-  turns_stepped_.fetch_add(out.size(), std::memory_order_relaxed);
+  turns_stepped_.add(out.size());
   return out;
 }
 
-namespace {
-
-/// Apply-then-journal helper for the small mutating requests: validation
-/// failures throw before anything lands in the journal, so replay can never
-/// reproduce an error path.
-void journal_mutation(JournalWriter& journal,
-                      std::atomic<std::uint64_t>& records,
-                      std::atomic<std::uint64_t>& bytes,
-                      JournalRecordType type, WireWriter&& w) {
-  if (!journal.enabled()) return;
-  const std::uint64_t b0 = journal.bytes_written();
-  journal.append(type, w.bytes());
-  records.fetch_add(1, std::memory_order_relaxed);
-  bytes.fetch_add(journal.bytes_written() - b0, std::memory_order_relaxed);
+void SessionRuntime::append_journal(Session& s, JournalRecordType type,
+                                    const WireWriter& payload) {
+  if (!s.journal.enabled()) return;
+  const std::uint64_t before = s.journal.bytes_written();
+  s.journal.append(type, payload.bytes());
+  journal_records_.add();
+  journal_bytes_.add(s.journal.bytes_written() - before);
 }
 
-}  // namespace
+// The small mutating requests below apply, then journal: validation failures
+// throw before anything lands in the journal, so replay can never reproduce
+// an error path.
 
 void SessionRuntime::set_param(std::uint32_t id, std::string_view name,
                                double value) {
@@ -430,8 +408,7 @@ void SessionRuntime::set_param(std::uint32_t id, std::string_view name,
   WireWriter w;
   w.str(name);
   w.f64(value);
-  journal_mutation(s->journal, journal_records_, journal_bytes_,
-                   JournalRecordType::kSetParam, std::move(w));
+  append_journal(*s, JournalRecordType::kSetParam, w);
 }
 
 double SessionRuntime::param(std::uint32_t id, std::string_view name) {
@@ -448,8 +425,7 @@ void SessionRuntime::set_state(std::uint32_t id, std::string_view name,
   WireWriter w;
   w.str(name);
   w.f64(value);
-  journal_mutation(s->journal, journal_records_, journal_bytes_,
-                   JournalRecordType::kSetState, std::move(w));
+  append_journal(*s, JournalRecordType::kSetState, w);
 }
 
 double SessionRuntime::state(std::uint32_t id, std::string_view name) {
@@ -464,8 +440,7 @@ void SessionRuntime::enable_control(std::uint32_t id, bool on) {
   s->loop.enable_control(on);
   WireWriter w;
   w.u8(on ? 1 : 0);
-  journal_mutation(s->journal, journal_records_, journal_bytes_,
-                   JournalRecordType::kEnableControl, std::move(w));
+  append_journal(*s, JournalRecordType::kEnableControl, w);
 }
 
 std::uint32_t SessionRuntime::snapshot(std::uint32_t id) {
@@ -489,8 +464,7 @@ std::uint32_t SessionRuntime::snapshot(std::uint32_t id) {
   WireWriter w;
   w.u32(snap_id);
   encode_checkpoint(w, it->second);
-  journal_mutation(s->journal, journal_records_, journal_bytes_,
-                   JournalRecordType::kSnapshot, std::move(w));
+  append_journal(*s, JournalRecordType::kSnapshot, w);
   return snap_id;
 }
 
@@ -507,8 +481,7 @@ void SessionRuntime::restore(std::uint32_t id, std::uint32_t snapshot_id) {
   s->publish();
   WireWriter w;
   w.u32(snapshot_id);
-  journal_mutation(s->journal, journal_records_, journal_bytes_,
-                   JournalRecordType::kRestore, std::move(w));
+  append_journal(*s, JournalRecordType::kRestore, w);
 }
 
 // --- crash recovery -------------------------------------------------------
@@ -662,18 +635,18 @@ std::size_t SessionRuntime::recover() {
       if (scan.corrupt) {
         // The valid prefix still recovers; the damage is surfaced in the
         // counters (and the corrupt tail is truncated on reopen).
-        journals_corrupt_.fetch_add(1, std::memory_order_relaxed);
+        journals_corrupt_.add();
       }
       session = replay_journal(path, scan);
     } catch (const std::exception&) {
       // Unusable from byte 0 (bad magic/version/header) or the replay
       // itself failed: skip the file, keep serving.
-      journals_corrupt_.fetch_add(1, std::memory_order_relaxed);
+      journals_corrupt_.add();
       continue;
     }
     std::lock_guard<std::mutex> lk(sessions_mutex_);
     if (sessions_.count(session->id) != 0) {
-      journals_corrupt_.fetch_add(1, std::memory_order_relaxed);
+      journals_corrupt_.add();
       continue;  // duplicate id across files — first one wins
     }
     next_id_ = std::max(next_id_, session->id + 1);
@@ -681,7 +654,7 @@ std::size_t SessionRuntime::recover() {
       nonces_.emplace(session->create_nonce, session->id);
     }
     sessions_.emplace(session->id, std::move(session));
-    sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
+    sessions_recovered_.add();
     ++recovered;
   }
   return recovered;
@@ -711,86 +684,46 @@ RuntimeStats SessionRuntime::stats() {
     out.active_sessions = sessions_.size();
     out.occupancy_admitted = aggregate_occupancy_locked();
   }
-  out.sessions_created = sessions_created_.load(std::memory_order_relaxed);
-  out.sessions_destroyed =
-      sessions_destroyed_.load(std::memory_order_relaxed);
-  out.admission_rejections =
-      admission_rejections_.load(std::memory_order_relaxed);
-  out.step_requests = step_requests_.load(std::memory_order_relaxed);
-  out.turns_stepped = turns_stepped_.load(std::memory_order_relaxed);
+  out.sessions_created = sessions_created_.value();
+  out.sessions_destroyed = sessions_destroyed_.value();
+  out.admission_rejections = admission_rejections_.value();
+  out.step_requests = step_requests_.value();
+  out.turns_stepped = turns_stepped_.value();
   out.kernel_compilations = cache_->compilations();
   out.kernel_lookups = cache_->lookups();
-  out.sessions_recovered =
-      sessions_recovered_.load(std::memory_order_relaxed);
-  out.sessions_reaped = sessions_reaped_.load(std::memory_order_relaxed);
-  out.journal_records = journal_records_.load(std::memory_order_relaxed);
-  out.journal_bytes = journal_bytes_.load(std::memory_order_relaxed);
-  out.journals_corrupt = journals_corrupt_.load(std::memory_order_relaxed);
-  out.step_replays = step_replays_.load(std::memory_order_relaxed);
+  out.sessions_recovered = sessions_recovered_.value();
+  out.sessions_reaped = sessions_reaped_.value();
+  out.journal_records = journal_records_.value();
+  out.journal_bytes = journal_bytes_.value();
+  out.journals_corrupt = journals_corrupt_.value();
+  out.step_replays = step_replays_.value();
   return out;
 }
 
 std::string SessionRuntime::prometheus_text() {
-  const RuntimeStats st = stats();
-  std::string out;
-  out.reserve(1536);
-  char line[192];
-  const auto emit = [&](const char* name, const char* type, double value) {
-    std::snprintf(line, sizeof(line), "# TYPE %s %s\n%s %.17g\n", name, type,
-                  name, value);
-    out += line;
-  };
-  emit("citl_serve_sessions_active", "gauge",
-       static_cast<double>(st.active_sessions));
-  emit("citl_serve_sessions_created_total", "counter",
-       static_cast<double>(st.sessions_created));
-  emit("citl_serve_sessions_destroyed_total", "counter",
-       static_cast<double>(st.sessions_destroyed));
-  emit("citl_serve_admission_rejected_total", "counter",
-       static_cast<double>(st.admission_rejections));
-  emit("citl_serve_step_requests_total", "counter",
-       static_cast<double>(st.step_requests));
-  emit("citl_serve_turns_total", "counter",
-       static_cast<double>(st.turns_stepped));
-  emit("citl_serve_kernel_compilations_total", "counter",
-       static_cast<double>(st.kernel_compilations));
-  emit("citl_serve_occupancy_admitted", "gauge", st.occupancy_admitted);
-  emit("citl_serve_sessions_recovered_total", "counter",
-       static_cast<double>(st.sessions_recovered));
-  emit("citl_serve_sessions_reaped_total", "counter",
-       static_cast<double>(st.sessions_reaped));
-  emit("citl_serve_journal_records_total", "counter",
-       static_cast<double>(st.journal_records));
-  emit("citl_serve_journal_bytes_total", "counter",
-       static_cast<double>(st.journal_bytes));
-  emit("citl_serve_journals_corrupt_total", "counter",
-       static_cast<double>(st.journals_corrupt));
-  emit("citl_serve_step_replays_total", "counter",
-       static_cast<double>(st.step_replays));
-
-  // Per-session gauges, one labelled series per live session.
-  std::vector<std::shared_ptr<Session>> live;
+  obs::MetricsSnapshot snap = metrics_.snapshot();
+  // Scrape-time values join the snapshot. The per-session gauges are not
+  // registered: the registry cannot drop a destroyed session's series.
+  snap.counters.emplace_back("serve.kernel_compilations_total",
+                             cache_->compilations());
   {
     std::lock_guard<std::mutex> lk(sessions_mutex_);
-    live.reserve(sessions_.size());
-    for (const auto& [id, s] : sessions_) live.push_back(s);
+    snap.gauges.emplace_back("serve.sessions_active",
+                             static_cast<double>(sessions_.size()));
+    snap.gauges.emplace_back("serve.occupancy_admitted",
+                             aggregate_occupancy_locked());
+    for (const auto& [id, s] : sessions_) {
+      snap.gauges.emplace_back(
+          "serve.session_occupancy[session=" + std::to_string(id) + "]",
+          occupancy_estimate(*s));
+    }
+    for (const auto& [id, s] : sessions_) {
+      snap.gauges.emplace_back(
+          "serve.session_turn[session=" + std::to_string(id) + "]",
+          static_cast<double>(s->turn.load(std::memory_order_relaxed)));
+    }
   }
-  out += "# TYPE citl_serve_session_occupancy gauge\n";
-  for (const auto& s : live) {
-    std::snprintf(line, sizeof(line),
-                  "citl_serve_session_occupancy{session=\"%u\"} %.17g\n",
-                  s->id, occupancy_estimate(*s));
-    out += line;
-  }
-  out += "# TYPE citl_serve_session_turn gauge\n";
-  for (const auto& s : live) {
-    std::snprintf(line, sizeof(line),
-                  "citl_serve_session_turn{session=\"%u\"} %lld\n", s->id,
-                  static_cast<long long>(
-                      s->turn.load(std::memory_order_relaxed)));
-    out += line;
-  }
-  return out;
+  return obs::prometheus_text(snap);
 }
 
 }  // namespace citl::serve

@@ -32,7 +32,6 @@
 // remote client sees exactly what an in-process caller catches.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -42,11 +41,14 @@
 
 #include "api/api.hpp"
 #include "hil/turnloop.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/kernel_cache.hpp"
 
 namespace citl::serve {
 
 struct JournalScan;
+class WireWriter;
+enum class JournalRecordType : std::uint8_t;
 
 struct RuntimeConfig {
   /// Hard cap on concurrently live sessions.
@@ -80,7 +82,8 @@ struct RuntimeConfig {
   double idle_session_ttl_s = 0.0;
 };
 
-/// Point-in-time aggregate counters (monotonic except active/occupancy).
+/// Point-in-time aggregate counters (monotonic except active/occupancy),
+/// read from the runtime's metrics() registry.
 struct RuntimeStats {
   std::size_t active_sessions = 0;
   std::uint64_t sessions_created = 0;
@@ -188,9 +191,16 @@ class SessionRuntime {
   /// housekeeping tick calls this; no-op when the TTL is 0.
   std::size_t reap_idle();
 
-  /// Prometheus exposition of the runtime (aggregate `citl_serve_*` series
-  /// plus per-session occupancy/turn gauges) — register as a ScrapeServer
-  /// collector to surface sessions on the /metrics endpoint.
+  /// The runtime's own instrument registry, always enabled and separate
+  /// from obs::Registry::global(): the `serve.*` counters of this runtime
+  /// and of the SessionServer in front of it.
+  [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
+
+  /// Prometheus exposition of metrics() plus the values known only at
+  /// scrape time (live sessions, admitted occupancy, kernel compilations,
+  /// per-session occupancy/turn gauges): every `citl_serve_*` series.
+  /// Register it as a ScrapeServer collector to surface the pool on the
+  /// /metrics endpoint.
   [[nodiscard]] std::string prometheus_text();
 
  private:
@@ -212,6 +222,11 @@ class SessionRuntime {
   [[nodiscard]] std::shared_ptr<Session> replay_journal(
       const std::string& path, JournalScan& scan);
   void destroy_session(std::uint32_t id, bool reaped);
+  /// Appends one record to the session's journal and counts its records and
+  /// bytes; no-op with journaling off. Caller holds the session mutex (or
+  /// has not published the session yet).
+  void append_journal(Session& s, JournalRecordType type,
+                      const WireWriter& payload);
 
   RuntimeConfig config_;
   sweep::KernelCache own_cache_;
@@ -225,17 +240,20 @@ class SessionRuntime {
 
   std::unique_ptr<StepGate> gate_;
 
-  std::atomic<std::uint64_t> sessions_created_{0};
-  std::atomic<std::uint64_t> sessions_destroyed_{0};
-  std::atomic<std::uint64_t> admission_rejections_{0};
-  std::atomic<std::uint64_t> step_requests_{0};
-  std::atomic<std::uint64_t> turns_stepped_{0};
-  std::atomic<std::uint64_t> sessions_recovered_{0};
-  std::atomic<std::uint64_t> sessions_reaped_{0};
-  std::atomic<std::uint64_t> journal_records_{0};
-  std::atomic<std::uint64_t> journal_bytes_{0};
-  std::atomic<std::uint64_t> journals_corrupt_{0};
-  std::atomic<std::uint64_t> step_replays_{0};
+  // Counters on metrics_; obs::prometheus_name() turns `serve.x` into the
+  // `citl_serve_x` series.
+  obs::Registry metrics_;
+  obs::Counter& sessions_created_;
+  obs::Counter& sessions_destroyed_;
+  obs::Counter& admission_rejections_;
+  obs::Counter& step_requests_;
+  obs::Counter& turns_stepped_;
+  obs::Counter& sessions_recovered_;
+  obs::Counter& sessions_reaped_;
+  obs::Counter& journal_records_;
+  obs::Counter& journal_bytes_;
+  obs::Counter& journals_corrupt_;
+  obs::Counter& step_replays_;
 };
 
 }  // namespace citl::serve

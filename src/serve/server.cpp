@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -79,7 +78,20 @@ void set_nonblocking(int fd) {
 
 struct SessionServer::Impl {
   explicit Impl(ServerConfig cfg)
-      : config(cfg), runtime(cfg.runtime) {}
+      : config(cfg),
+        runtime(cfg.runtime),
+        connections_accepted(
+            runtime.metrics().counter("serve.connections_accepted_total")),
+        connections_closed(
+            runtime.metrics().counter("serve.connections_closed_total")),
+        frames_received(
+            runtime.metrics().counter("serve.frames_received_total")),
+        frames_sent(runtime.metrics().counter("serve.frames_sent_total")),
+        bad_frames(runtime.metrics().counter("serve.bad_frames_total")),
+        duplicate_requests(
+            runtime.metrics().counter("serve.duplicate_requests_total")),
+        read_deadline_closed(
+            runtime.metrics().counter("serve.read_deadline_closed_total")) {}
 
   ServerConfig config;
   SessionRuntime runtime;
@@ -105,13 +117,15 @@ struct SessionServer::Impl {
   std::mutex pending_mutex;
   std::vector<std::shared_ptr<Connection>> pending;
 
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> connections_closed{0};
-  std::atomic<std::uint64_t> frames_received{0};
-  std::atomic<std::uint64_t> frames_sent{0};
-  std::atomic<std::uint64_t> bad_frames{0};
-  std::atomic<std::uint64_t> duplicate_requests{0};
-  std::atomic<std::uint64_t> read_deadline_closed{0};
+  // Endpoint counters, on the runtime's registry so that
+  // runtime.prometheus_text() carries them.
+  obs::Counter& connections_accepted;
+  obs::Counter& connections_closed;
+  obs::Counter& frames_received;
+  obs::Counter& frames_sent;
+  obs::Counter& bad_frames;
+  obs::Counter& duplicate_requests;
+  obs::Counter& read_deadline_closed;
 
   /// Journals are replayed once per server lifetime, on the first start().
   bool recovered = false;
@@ -323,7 +337,7 @@ void SessionServer::Impl::housekeep(std::int64_t now_ns) {
       }
     }
     for (const auto& conn : overdue) {
-      read_deadline_closed.fetch_add(1, std::memory_order_relaxed);
+      read_deadline_closed.add();
       close_conn(conn);
     }
   }
@@ -343,7 +357,7 @@ void SessionServer::Impl::accept_ready() {
     ev.data.fd = client;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, client, &ev);
     conns.emplace(client, std::move(conn));
-    connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    connections_accepted.add();
   }
 }
 
@@ -355,7 +369,7 @@ void SessionServer::Impl::read_ready(const std::shared_ptr<Connection>& conn) {
       try {
         conn->parser.feed(buf, static_cast<std::size_t>(n));
         while (auto frame = conn->parser.next()) {
-          frames_received.fetch_add(1, std::memory_order_relaxed);
+          frames_received.add();
           handle_frame(conn, std::move(*frame));
           if (conn->dead) return;
         }
@@ -370,7 +384,7 @@ void SessionServer::Impl::read_ready(const std::shared_ptr<Connection>& conn) {
       } catch (const Error& e) {
         // Framing error: best-effort typed error response, then close (the
         // stream offset can no longer be trusted).
-        bad_frames.fetch_add(1, std::memory_order_relaxed);
+        bad_frames.add();
         Frame err;
         err.status = e.code();
         WireWriter w;
@@ -441,7 +455,7 @@ void SessionServer::Impl::close_conn(const std::shared_ptr<Connection>& conn) {
   ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conns.erase(conn->fd);
-  connections_closed.fetch_add(1, std::memory_order_relaxed);
+  connections_closed.add();
 }
 
 void SessionServer::Impl::enqueue_response(
@@ -459,7 +473,7 @@ void SessionServer::Impl::enqueue_response(
       }
     }
   }
-  frames_sent.fetch_add(1, std::memory_order_relaxed);
+  frames_sent.add();
   if (from_loop) {
     if (!conn->dead) flush(conn);
   } else {
@@ -617,13 +631,13 @@ void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
         }
       }
       if (!resend && !conn->in_flight.insert(frame.request_id).second) {
-        duplicate_requests.fetch_add(1, std::memory_order_relaxed);
+        duplicate_requests.add();
         return;
       }
     }
     if (resend) {
-      duplicate_requests.fetch_add(1, std::memory_order_relaxed);
-      frames_sent.fetch_add(1, std::memory_order_relaxed);
+      duplicate_requests.add();
+      frames_sent.add();
       if (!conn->dead) flush(conn);
       return;
     }
@@ -658,34 +672,6 @@ void SessionServer::Impl::worker_main() {
     }
     task();
   }
-}
-
-std::string SessionServer::prometheus_text() {
-  Impl& s = *impl_;
-  std::string out;
-  char line[160];
-  const auto emit = [&](const char* name, const char* type,
-                        std::uint64_t value) {
-    std::snprintf(line, sizeof(line), "# TYPE %s %s\n%s %llu\n", name, type,
-                  name, static_cast<unsigned long long>(value));
-    out += line;
-  };
-  emit("citl_serve_connections_accepted_total", "counter",
-       s.connections_accepted.load(std::memory_order_relaxed));
-  emit("citl_serve_connections_closed_total", "counter",
-       s.connections_closed.load(std::memory_order_relaxed));
-  emit("citl_serve_frames_received_total", "counter",
-       s.frames_received.load(std::memory_order_relaxed));
-  emit("citl_serve_frames_sent_total", "counter",
-       s.frames_sent.load(std::memory_order_relaxed));
-  emit("citl_serve_bad_frames_total", "counter",
-       s.bad_frames.load(std::memory_order_relaxed));
-  emit("citl_serve_duplicate_requests_total", "counter",
-       s.duplicate_requests.load(std::memory_order_relaxed));
-  emit("citl_serve_read_deadline_closed_total", "counter",
-       s.read_deadline_closed.load(std::memory_order_relaxed));
-  out += s.runtime.prometheus_text();
-  return out;
 }
 
 }  // namespace citl::serve

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "serve/runtime.hpp"
 
@@ -76,13 +75,10 @@ class SessionServer {
   [[nodiscard]] std::uint16_t port() const noexcept;
 
   /// The runtime behind the endpoint — in-process callers (tests, the
-  /// metrics collector) share it with wire clients.
+  /// metrics collector) share it with wire clients. The endpoint counts its
+  /// connections and frames on runtime().metrics(), so
+  /// runtime().prometheus_text() is the whole `citl_serve_*` exposition.
   [[nodiscard]] SessionRuntime& runtime() noexcept;
-
-  /// Prometheus text for the endpoint itself (`citl_serve_connections_*`,
-  /// frame/byte counters) plus the runtime's session series — register as a
-  /// ScrapeServer collector.
-  [[nodiscard]] std::string prometheus_text();
 
  private:
   struct Impl;

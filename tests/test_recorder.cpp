@@ -27,7 +27,6 @@
 #include "cgra/schedule.hpp"
 #include "core/units.hpp"
 #include "ctrl/jump.hpp"
-#include "obs/deadline.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -324,28 +323,6 @@ TEST(ObsExposition, LabelledSeriesShareOneTypeLine) {
     pos += needle.size();
   }
   EXPECT_EQ(type_lines, 1u);
-}
-
-TEST(ObsExposition, DeadlineProfilerText) {
-  DeadlineProfiler profiler;
-  for (int i = 0; i < 100; ++i) {
-    profiler.record(50.0 + i, 100.0, i * 1.0e-6);  // occupancy 0.5..1.49
-  }
-  const std::string text = prometheus_deadline_text(profiler);
-  expect_valid_prometheus_text(text);
-  EXPECT_NE(text.find("# TYPE citl_hil_deadline_occupancy histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("citl_hil_deadline_occupancy_bucket{le=\"+Inf\"} 100"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("citl_hil_deadline_occupancy_count 100"),
-            std::string::npos);
-  EXPECT_NE(text.find("citl_hil_deadline_revolutions 100"),
-            std::string::npos);
-  // exec = 50..149 against budget 100: the 49 revolutions with exec > 100
-  // are misses.
-  EXPECT_NE(text.find("citl_hil_deadline_misses 49"), std::string::npos)
-      << text;
 }
 
 // ---------------------------------------------------------------------------

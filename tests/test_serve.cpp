@@ -386,6 +386,24 @@ TEST(ServeRuntime, AdmissionRejectsBySessionCount) {
   EXPECT_NO_THROW(runtime.create(quiet_point()));
 }
 
+TEST(ServeRuntime, MalformedConfigOnFullPoolIsInvalidConfig) {
+  // Validation precedes admission: a malformed config is refused as such
+  // even when the pool has no room, and is not counted as a rejection.
+  serve::RuntimeConfig rc;
+  rc.max_sessions = 1;
+  serve::SessionRuntime runtime(rc);
+  runtime.create(quiet_point());
+  api::SessionConfig bad = quiet_point();
+  bad.f_ref_hz = -1.0;
+  try {
+    runtime.create(bad);
+    FAIL() << "malformed config admitted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig) << e.what();
+  }
+  EXPECT_EQ(runtime.stats().admission_rejections, 0u);
+}
+
 TEST(ServeRuntime, AdmissionRejectsByOccupancyBudget) {
   // The paper kernel occupies ~0.63 of a CGRA at 800 kHz; a budget of 1.0
   // admits one session and must reject the second (2 x 0.63 > 1.0).
@@ -735,7 +753,7 @@ TEST(ServeServer, SnapshotRestoreOverTheWire) {
 TEST(ServeServer, MetricsJoinTheScrapeText) {
   ServedPair pair;
   (void)pair.client->create(quiet_point());
-  const std::string text = pair.server.prometheus_text();
+  const std::string text = pair.server.runtime().prometheus_text();
   EXPECT_NE(text.find("citl_serve_connections_accepted_total 1"),
             std::string::npos);
   EXPECT_NE(text.find("citl_serve_sessions_active 1"), std::string::npos);
@@ -815,7 +833,7 @@ TEST(ServeServer, ReadDeadlineClosesSlowLorisButSparesIdlers) {
   EXPECT_EQ(n, 0) << "server should close the dribbling connection";
   ::close(fd);
 
-  EXPECT_NE(pair.server.prometheus_text().find(
+  EXPECT_NE(pair.server.runtime().prometheus_text().find(
                 "citl_serve_read_deadline_closed_total 1"),
             std::string::npos);
   // The well-behaved client is still being served.
