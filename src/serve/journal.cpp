@@ -4,7 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 namespace citl::serve {
@@ -85,28 +89,100 @@ std::vector<std::uint8_t> encode_header(std::uint32_t session_id,
   return h;
 }
 
-[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
-  throw Error("journal " + path + ": " + what + " (" +
-                  std::string(std::strerror(errno)) + ")",
-              ErrorCode::kInternal);
+std::string io_message(const std::string& what, const std::string& path,
+                       int err) {
+  return "journal " + path + ": " + what + " (" +
+         std::string(std::strerror(err)) + ")";
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t n,
-               const std::string& path) {
+[[noreturn]] void throw_io(const std::string& what, const std::string& path,
+                           int err = errno) {
+  throw Error(io_message(what, path, err), ErrorCode::kInternal);
+}
+
+/// Writes all `n` bytes; returns 0 or the errno of the failed write.
+int write_all(int fd, const std::uint8_t* data, std::size_t n) noexcept {
   std::size_t done = 0;
   while (done < n) {
     const ssize_t w = ::write(fd, data + done, n - done);
     if (w < 0) {
       if (errno == EINTR) continue;
-      throw_io("write failed", path);
+      return errno;
     }
     done += static_cast<std::size_t>(w);
   }
+  return 0;
 }
 
 }  // namespace
 
 // --- writer ---------------------------------------------------------------
+
+/// The writer's persistent sync thread. Each start() asks for one fsync of
+/// everything written before it; wait() blocks until the thread has caught
+/// up. The destructor lets a requested sync finish, then joins.
+class JournalWriter::SyncThread {
+ public:
+  explicit SyncThread(int fd) : fd_(fd), thread_([this] { run(); }) {}
+
+  ~SyncThread() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  SyncThread(const SyncThread&) = delete;
+  SyncThread& operator=(const SyncThread&) = delete;
+
+  void start() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      ++requested_;
+    }
+    cv_.notify_all();
+  }
+
+  /// Returns 0, or the errno of a sync that failed since the last wait().
+  int wait() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    cv_.wait(lk, [&] { return synced_ == requested_; });
+    return std::exchange(err_, 0);
+  }
+
+ private:
+  void run() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    for (;;) {
+      cv_.wait(lk, [&] { return synced_ != requested_ || stop_; });
+      if (synced_ == requested_) return;
+      const std::uint64_t target = requested_;
+      lk.unlock();
+      const int err = sync_fd(fd_);
+      lk.lock();
+      if (err_ == 0) err_ = err;
+      synced_ = target;
+      cv_.notify_all();
+    }
+  }
+
+  const int fd_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t requested_ = 0;  ///< start() calls so far
+  std::uint64_t synced_ = 0;     ///< start() calls the last fsync covered
+  int err_ = 0;
+  bool stop_ = false;
+  std::thread thread_;  // last: it runs against the members above
+};
+
+JournalWriter::JournalWriter() = default;
+
+int JournalWriter::sync_fd(int fd) noexcept {
+  return ::fsync(fd) == 0 ? 0 : errno;
+}
 
 JournalWriter::JournalWriter(const std::string& path, std::uint32_t session_id,
                              std::uint64_t config_digest)
@@ -114,8 +190,9 @@ JournalWriter::JournalWriter(const std::string& path, std::uint32_t session_id,
   fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (fd_ < 0) throw_io("open failed", path);
   const auto header = encode_header(session_id, config_digest);
-  write_all(fd_, header.data(), header.size(), path_);
-  if (::fsync(fd_) != 0) throw_io("fsync failed", path);
+  if (const int err = write_all(fd_, header.data(), header.size())) {
+    throw_io("write failed", path, err);
+  }
   chain_ = fnv1a(kFnvOffset, header.data(), header.size());
   bytes_ = header.size();
 }
@@ -142,7 +219,10 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       next_seq_(other.next_seq_),
       chain_(other.chain_),
       records_(other.records_),
-      bytes_(other.bytes_) {}
+      bytes_(other.bytes_),
+      sync_thread_(std::move(other.sync_thread_)),
+      failed_(other.failed()),
+      failure_(std::move(other.failure_)) {}
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
   if (this != &other) {
@@ -153,20 +233,42 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     chain_ = other.chain_;
     records_ = other.records_;
     bytes_ = other.bytes_;
+    sync_thread_ = std::move(other.sync_thread_);
+    failed_.store(other.failed(), std::memory_order_release);
+    failure_ = std::move(other.failure_);
   }
   return *this;
 }
 
 void JournalWriter::close_fd() noexcept {
+  sync_thread_.reset();  // joined before the file closes
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
+void JournalWriter::fail(const std::string& what, int err) {
+  failure_ = io_message(what, path_, err);
+  failed_.store(true, std::memory_order_release);
+  throw Error(failure_, ErrorCode::kInternal);
+}
+
+void JournalWriter::throw_if_failed() const {
+  if (failed()) throw Error(failure_, ErrorCode::kInternal);
+}
+
 void JournalWriter::append(JournalRecordType type,
                            const std::vector<std::uint8_t>& payload) {
   if (fd_ < 0) return;
+  write(type, payload);
+  if (const int err = sync_fd(fd_)) fail("fsync failed", err);
+}
+
+void JournalWriter::write(JournalRecordType type,
+                          const std::vector<std::uint8_t>& payload) {
+  if (fd_ < 0) return;
+  throw_if_failed();
   CITL_CHECK_MSG(payload.size() <= kMaxJournalPayloadBytes,
                  "journal record payload too large");
   const std::uint64_t seq = next_seq_;
@@ -180,12 +282,33 @@ void JournalWriter::append(JournalRecordType type,
     std::memcpy(rec.data() + 13, payload.data(), payload.size());
   }
   put_u64(rec.data() + 13 + payload.size(), chain);
-  write_all(fd_, rec.data(), rec.size(), path_);
-  if (::fsync(fd_) != 0) throw_io("fsync failed", path_);
+  if (const int err = write_all(fd_, rec.data(), rec.size())) {
+    fail("write failed", err);
+  }
   next_seq_ = seq + 1;
   chain_ = chain;
   ++records_;
   bytes_ += rec.size();
+}
+
+void JournalWriter::start_sync() {
+  if (fd_ < 0) return;
+  throw_if_failed();
+  if (sync_thread_ == nullptr) {
+    try {
+      sync_thread_ = std::make_unique<SyncThread>(fd_);
+    } catch (const std::system_error& e) {
+      fail("cannot start the sync thread", e.code().value());
+    }
+  }
+  sync_thread_->start();
+}
+
+void JournalWriter::finish_sync() {
+  if (fd_ < 0) return;
+  const int err = sync_thread_ != nullptr ? sync_thread_->wait() : 0;
+  throw_if_failed();
+  if (err != 0) fail("fsync failed", err);
 }
 
 void JournalWriter::discard() {

@@ -26,15 +26,29 @@
 //                      seq ‖ payload); the first record chains off a hash of
 //                      the header
 //
-// Every append is fsync'd before the server acknowledges the request, so an
-// acknowledged mutation survives kill -9. The chain hash makes torn tails
-// and bit flips detectable: scan_journal() loads the longest valid prefix
-// and reports the first offending byte offset with kJournalCorrupt — a
-// truncated or corrupted journal recovers to the last durable state instead
-// of failing entirely (recovery semantics in docs/SERVING.md).
+// Every record is fsync'd before the server acknowledges the request, so an
+// acknowledged mutation survives kill -9. A step becomes durable in three
+// parts: its record (with the compaction image, when one falls due) is
+// written before its turns run, synced on the writer's sync thread while
+// they run, and the step is acknowledged only after both finished. The
+// other mutations append and sync inline before they are acknowledged.
+//
+// A write or sync that fails marks the writer failed: every later call
+// throws kInternal without touching the file, so no record after a torn or
+// unsynced one is ever acknowledged. The runtime then answers kInternal to
+// every request for that session except destroy, because its engine may
+// hold a step nobody acknowledged.
+//
+// The chain hash makes torn tails and bit flips detectable: scan_journal()
+// loads the longest valid prefix and reports the first offending byte
+// offset with kJournalCorrupt — a truncated or corrupted journal recovers to
+// the last durable state instead of failing entirely (recovery semantics in
+// docs/SERVING.md).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -106,12 +120,18 @@ struct JournalScan {
 [[nodiscard]] JournalScan scan_journal(const std::string& path);
 
 /// Appends fsync'd, chain-hashed records to one session's journal file.
-/// Default-constructed writers are disabled (journaling off): append() is a
+/// Default-constructed writers are disabled (journaling off): every call is a
 /// no-op, so call sites need no `if` forest.
+///
+/// append() is durable on return. write(), start_sync() and finish_sync()
+/// split the same work so the caller can run something while the fsync is in
+/// flight. The fsync then runs on the writer's own thread, started by the
+/// first start_sync() and joined before the file closes.
 class JournalWriter {
  public:
-  JournalWriter() = default;
-  /// Creates (truncating) `path` and writes the header.
+  JournalWriter();
+  /// Creates (truncating) `path` and writes the header. The header is not
+  /// synced on its own: the first record's sync makes both durable.
   JournalWriter(const std::string& path, std::uint32_t session_id,
                 std::uint64_t config_digest);
   /// Reopens an existing journal after scan_journal(): truncates the corrupt
@@ -130,6 +150,23 @@ class JournalWriter {
   /// (a session that cannot journal must not acknowledge mutations).
   void append(JournalRecordType type, const std::vector<std::uint8_t>& payload);
 
+  /// Appends one record without syncing it. Throws Error{kInternal} on I/O
+  /// failure.
+  void write(JournalRecordType type, const std::vector<std::uint8_t>& payload);
+  /// Hands an fsync of everything written so far to the sync thread and
+  /// returns at once.
+  void start_sync();
+  /// Waits for the sync start_sync() handed over, if one is in flight.
+  /// Throws Error{kInternal} if it failed, or if the writer failed earlier.
+  void finish_sync();
+
+  /// True once a write or sync failed. Every later write(), append(),
+  /// start_sync() and finish_sync() then throws Error{kInternal} without
+  /// touching the file. Safe to read from any thread.
+  [[nodiscard]] bool failed() const noexcept {
+    return failed_.load(std::memory_order_acquire);
+  }
+
   /// Closes and deletes the file (session destroyed or reaped).
   void discard();
 
@@ -139,6 +176,15 @@ class JournalWriter {
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
 
  private:
+  class SyncThread;
+
+  /// The one fsync routine, run inline by append() and on the sync thread.
+  /// Returns 0 or the errno of the failed call.
+  [[nodiscard]] static int sync_fd(int fd) noexcept;
+  /// Marks the writer failed and throws Error{kInternal}.
+  [[noreturn]] void fail(const std::string& what, int err);
+  /// Throws Error{kInternal} if the writer failed earlier.
+  void throw_if_failed() const;
   void close_fd() noexcept;
 
   int fd_ = -1;
@@ -147,6 +193,9 @@ class JournalWriter {
   std::uint64_t chain_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
+  std::unique_ptr<SyncThread> sync_thread_;
+  std::atomic<bool> failed_{false};
+  std::string failure_;  ///< the first failure, repeated by later calls
 };
 
 // --- checkpoint image codec ----------------------------------------------

@@ -119,6 +119,24 @@ struct SessionRuntime::Session {
     last_used_ns.store(steady_now_ns(), std::memory_order_relaxed);
   }
 
+  /// Throws kInternal once the journal failed: after a failed sync the
+  /// engine may hold a step nobody acknowledged, so only destroy() may
+  /// still reach the session.
+  void check_journal() const {
+    if (journal.failed()) {
+      throw Error("session " + std::to_string(id) +
+                      " lost its journal and serves no more requests",
+                  ErrorCode::kInternal);
+    }
+  }
+
+  /// Takes `mutex` for one request; see check_journal().
+  [[nodiscard]] std::unique_lock<std::mutex> lock() {
+    std::unique_lock<std::mutex> lk(mutex);
+    check_journal();
+    return lk;
+  }
+
   /// Refresh the published views from the loop. Caller holds `mutex`.
   void publish() {
     const auto& d = loop.deadline();
@@ -323,7 +341,7 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
   auto s = find(id);
   step_requests_.add();
 
-  std::lock_guard<std::mutex> session_lock(s->mutex);
+  const auto session_lock = s->lock();
   if (step_seq != 0) {
     if (step_seq == s->step_seq) {
       // Exactly-once retry: the step already applied; re-serve the cached
@@ -355,21 +373,35 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
       WireWriter w;
       w.u64(s->step_seq);
       encode_checkpoint(w, s->loop.checkpoint());
-      append_journal(*s, JournalRecordType::kCheckpoint, w);
+      append_journal(*s, JournalRecordType::kCheckpoint, w, /*sync=*/false);
       s->turns_since_checkpoint = 0;
     }
-    // Write-ahead: the step is durable before it executes, so a crash
-    // between journal and execution replays it on recovery — the client's
-    // retry then finds it applied exactly once.
+    // Write-ahead: the step is written before it executes and durable
+    // before it is acknowledged, so a crash after the ack replays it on
+    // recovery — the client's retry then finds it applied exactly once. One
+    // sync covers the step and the image, and it runs during the turns.
     WireWriter w;
     w.u32(turns);
     w.u64(seq);
-    append_journal(*s, JournalRecordType::kStep, w);
+    append_journal(*s, JournalRecordType::kStep, w, /*sync=*/false);
+    s->journal.start_sync();
   }
 
   std::vector<hil::TurnRecord> out;
   out.reserve(turns);
   {
+    // Every exit path waits for the sync, so the session lock is never
+    // released while one of its records is written but not yet durable. A
+    // failed sync marks the writer failed; finish_sync() below reports it.
+    struct AwaitSync {
+      JournalWriter& journal;
+      ~AwaitSync() {
+        try {
+          journal.finish_sync();
+        } catch (const Error&) {
+        }
+      }
+    } await_sync{s->journal};
     // RAII slot so exceptions thrown mid-step still release the gate.
     gate_->acquire(occupancy_estimate(*s));
     struct Release {
@@ -379,6 +411,7 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
     s->loop.run(static_cast<std::int64_t>(turns),
                 [&](const hil::TurnRecord& rec) { out.push_back(rec); });
   }
+  s->journal.finish_sync();  // acknowledge only a durable step
   s->step_seq = seq;
   s->last_step_records = out;
   s->turns_since_checkpoint += static_cast<std::int64_t>(turns);
@@ -388,10 +421,14 @@ std::vector<hil::TurnRecord> SessionRuntime::step(std::uint32_t id,
 }
 
 void SessionRuntime::append_journal(Session& s, JournalRecordType type,
-                                    const WireWriter& payload) {
+                                    const WireWriter& payload, bool sync) {
   if (!s.journal.enabled()) return;
   const std::uint64_t before = s.journal.bytes_written();
-  s.journal.append(type, payload.bytes());
+  if (sync) {
+    s.journal.append(type, payload.bytes());
+  } else {
+    s.journal.write(type, payload.bytes());
+  }
   journal_records_.add();
   journal_bytes_.add(s.journal.bytes_written() - before);
 }
@@ -403,7 +440,7 @@ void SessionRuntime::append_journal(Session& s, JournalRecordType type,
 void SessionRuntime::set_param(std::uint32_t id, std::string_view name,
                                double value) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   api::set_kernel_param(s->loop.model(), name, value, s->loop.lane());
   WireWriter w;
   w.str(name);
@@ -413,14 +450,14 @@ void SessionRuntime::set_param(std::uint32_t id, std::string_view name,
 
 double SessionRuntime::param(std::uint32_t id, std::string_view name) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   return api::kernel_param(s->loop.model(), name, s->loop.lane());
 }
 
 void SessionRuntime::set_state(std::uint32_t id, std::string_view name,
                                double value) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   api::set_kernel_state(s->loop.model(), name, value, s->loop.lane());
   WireWriter w;
   w.str(name);
@@ -430,13 +467,13 @@ void SessionRuntime::set_state(std::uint32_t id, std::string_view name,
 
 double SessionRuntime::state(std::uint32_t id, std::string_view name) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   return api::kernel_state(s->loop.model(), name, s->loop.lane());
 }
 
 void SessionRuntime::enable_control(std::uint32_t id, bool on) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   s->loop.enable_control(on);
   WireWriter w;
   w.u8(on ? 1 : 0);
@@ -445,7 +482,7 @@ void SessionRuntime::enable_control(std::uint32_t id, bool on) {
 
 std::uint32_t SessionRuntime::snapshot(std::uint32_t id) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   if (s->api_config.supervised) {
     throw ConfigError(
         "snapshot: supervised sessions cannot be checkpointed (supervisor "
@@ -470,7 +507,7 @@ std::uint32_t SessionRuntime::snapshot(std::uint32_t id) {
 
 void SessionRuntime::restore(std::uint32_t id, std::uint32_t snapshot_id) {
   auto s = find(id);
-  std::lock_guard<std::mutex> lk(s->mutex);
+  const auto lk = s->lock();
   auto it = s->snapshots.find(snapshot_id);
   if (it == s->snapshots.end()) {
     throw Error("snapshot " + std::to_string(snapshot_id) +
@@ -662,6 +699,7 @@ std::size_t SessionRuntime::recover() {
 
 SessionInfo SessionRuntime::info(std::uint32_t id) {
   auto s = find(id);
+  s->check_journal();
   SessionInfo out;
   out.id = s->id;
   out.schedule_length = s->schedule_length;

@@ -152,6 +152,11 @@ class SessionRuntime {
   /// last_step_seq itself (a retry — the cached response is returned without
   /// re-stepping); anything else is kBadState. step_seq 0 keeps the legacy
   /// at-most-once behaviour (the step still lands in the journal).
+  ///
+  /// With journaling on, the step's record is written before the turns run
+  /// and synced while they run; the call returns only once it is durable.
+  /// kInternal when the record cannot be written or synced; from then on
+  /// every request for the session except destroy() is kInternal.
   std::vector<hil::TurnRecord> step(std::uint32_t id, std::uint32_t turns,
                                     std::uint64_t step_seq = 0);
 
@@ -223,10 +228,11 @@ class SessionRuntime {
       const std::string& path, JournalScan& scan);
   void destroy_session(std::uint32_t id, bool reaped);
   /// Appends one record to the session's journal and counts its records and
-  /// bytes; no-op with journaling off. Caller holds the session mutex (or
-  /// has not published the session yet).
+  /// bytes; no-op with journaling off. With `sync` the record is durable on
+  /// return; without it the caller's start_sync()/finish_sync() make it so.
+  /// Caller holds the session mutex (or has not published the session yet).
   void append_journal(Session& s, JournalRecordType type,
-                      const WireWriter& payload);
+                      const WireWriter& payload, bool sync = true);
 
   RuntimeConfig config_;
   sweep::KernelCache own_cache_;

@@ -12,7 +12,13 @@
 // covers the suite.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -122,10 +128,43 @@ TEST(ServeJournal, ReopenContinuesTheChain) {
   EXPECT_EQ(scan.records[1].payload, (std::vector<std::uint8_t>{4, 5}));
 }
 
+TEST(ServeJournal, OverlappedSyncWritesTheSameBytesAsAppend) {
+  // A served step writes its record (and a due compaction image), syncs on
+  // the writer's thread and waits; the file must be the one append() makes.
+  const std::string dir = fresh_state_dir("overlapped");
+  const std::string inline_path = dir + "/session-1.journal";
+  const std::string overlapped_path = dir + "/session-2.journal";
+  {
+    serve::JournalWriter inline_sync(inline_path, 1, 7);
+    serve::JournalWriter overlapped(overlapped_path, 1, 7);
+    inline_sync.append(serve::JournalRecordType::kConfig, {1});
+    overlapped.append(serve::JournalRecordType::kConfig, {1});
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      inline_sync.append(serve::JournalRecordType::kCheckpoint, {2, i});
+      inline_sync.append(serve::JournalRecordType::kStep, {3, i});
+      overlapped.write(serve::JournalRecordType::kCheckpoint, {2, i});
+      overlapped.write(serve::JournalRecordType::kStep, {3, i});
+      overlapped.start_sync();
+      overlapped.finish_sync();
+    }
+    overlapped.finish_sync();  // nothing in flight: returns at once
+    EXPECT_FALSE(overlapped.failed());
+    EXPECT_EQ(overlapped.records_written(), inline_sync.records_written());
+    EXPECT_EQ(overlapped.bytes_written(), inline_sync.bytes_written());
+  }
+  EXPECT_EQ(slurp(overlapped_path), slurp(inline_path));
+  const serve::JournalScan scan = serve::scan_journal(overlapped_path);
+  EXPECT_FALSE(scan.corrupt) << scan.corrupt_reason;
+  EXPECT_EQ(scan.records.size(), 7u);
+}
+
 TEST(ServeJournal, DisabledWriterIsANoOp) {
   serve::JournalWriter w;
   EXPECT_FALSE(w.enabled());
-  w.append(serve::JournalRecordType::kStep, {1});  // must not throw
+  w.append(serve::JournalRecordType::kStep, {1});  // none of these may throw
+  w.write(serve::JournalRecordType::kStep, {1});
+  w.start_sync();
+  w.finish_sync();
   EXPECT_EQ(w.records_written(), 0u);
 }
 
@@ -427,11 +466,19 @@ TEST(ServeJournal, UnusableJournalIsSkippedNotFatal) {
   // A second, garbage journal beside the good one.
   dump(dir + "/session-9.journal", {'n', 'o', 't', ' ', 'a', ' ', 'l', 'o',
                                     'g'});
+  // A header-only journal: a create that crashed before its config record
+  // (whose sync also covers the header) was synced, so never acknowledged.
+  {
+    serve::JournalWriter header_only(journal_file(dir, 8), 8,
+                                     api::session_config_digest(config));
+  }
+  ASSERT_EQ(std::filesystem::file_size(journal_file(dir, 8)),
+            serve::kJournalHeaderBytes);
   serve::RuntimeConfig rc;
   rc.state_dir = dir;
   serve::SessionRuntime rt(rc);
   EXPECT_EQ(rt.recover(), 1u);
-  EXPECT_EQ(rt.stats().journals_corrupt, 1u);
+  EXPECT_EQ(rt.stats().journals_corrupt, 2u);
   EXPECT_EQ(rt.stats().active_sessions, 1u);
 }
 
@@ -462,6 +509,138 @@ TEST(ServeJournal, RetiredTierJournalIsSkippedNotFatal) {
   EXPECT_EQ(rt.recover(), 1u);
   EXPECT_EQ(rt.stats().journals_corrupt, 1u);
   EXPECT_EQ(rt.stats().active_sessions, 1u);
+}
+
+namespace {
+
+/// Lowers the soft RLIMIT_FSIZE with SIGXFSZ ignored, so a write past the
+/// limit tears and then fails with EFBIG instead of killing the process.
+/// restore() (or leaving the scope) puts the limit and the signal back.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(std::uintmax_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    restore();
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  void restore() { EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0); }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+/// The code `fn` throws, or kOk when it returns.
+template <typename Fn>
+ErrorCode code_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return ErrorCode::kOk;
+}
+
+}  // namespace
+
+TEST(ServeJournal, FailedWriteIsNeverAcknowledged) {
+  // Step 2's record tears on a full disk. A retry must not append a second
+  // record after the torn bytes and be acknowledged: recovery truncates
+  // everything from the tear on, so that step would be lost.
+  const std::string dir = fresh_state_dir("failed_write");
+  const api::SessionConfig config = api::paper_operating_point();
+
+  serve::SessionRuntime unjournaled;
+  const std::uint32_t uid = unjournaled.create(config);
+  (void)unjournaled.step(uid, 100, 1);
+  const auto want = unjournaled.step(uid, 100, 2);
+
+  std::uint32_t id = 0;
+  std::uint64_t last_acked = 0;
+  const std::string kept = dir + "/kept";
+  {
+    serve::RuntimeConfig rc;
+    rc.state_dir = dir;
+    serve::SessionRuntime rt(rc);
+    id = rt.create(config);
+    (void)rt.step(id, 100, 1);
+    last_acked = 1;
+    const std::string path = journal_file(dir, id);
+    ErrorCode torn = ErrorCode::kOk;
+    {
+      // Step 2's 33-byte record may grow the file by 10 bytes only.
+      FileSizeLimit limit(std::filesystem::file_size(path) + 10);
+      torn = code_of([&] { (void)rt.step(id, 100, 2); });
+      limit.restore();
+    }
+    EXPECT_EQ(torn, ErrorCode::kInternal);
+
+    // The disk has room again; the client retries.
+    const ErrorCode retry = code_of([&] { (void)rt.step(id, 100, 2); });
+    if (retry == ErrorCode::kOk) last_acked = 2;
+    EXPECT_EQ(retry, ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] { rt.set_param(id, "v_scale", 1.25); }),
+              ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] { (void)rt.state(id, "dt0"); }),
+              ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] { (void)rt.info(id); }), ErrorCode::kInternal);
+
+    // Keep the file as a crash would leave it; destroy still works.
+    std::filesystem::create_directories(kept);
+    std::filesystem::copy_file(path, journal_file(kept, id));
+    EXPECT_EQ(code_of([&] { rt.destroy(id); }), ErrorCode::kOk);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+
+  serve::RuntimeConfig rc;
+  rc.state_dir = kept;
+  serve::SessionRuntime recovered(rc);
+  ASSERT_EQ(recovered.recover(), 1u);
+  EXPECT_EQ(recovered.info(id).last_step_seq, last_acked);
+  EXPECT_EQ(recovered.stats().journals_corrupt, 1u);
+  expect_bit_identical(recovered.step(id, 100, 2), want);
+}
+
+TEST(ServeJournal, FailedSyncFailsTheWriter) {
+  // fsync of a FIFO fails with EINVAL. The failure of the overlapped sync
+  // must surface from finish_sync() and keep every later call off the file.
+  const std::string dir = fresh_state_dir("failed_sync");
+  const std::string path = dir + "/session-1.journal";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  {
+    serve::JournalWriter w(path, 1, 7);
+    w.write(serve::JournalRecordType::kStep, {1});
+    w.start_sync();
+    EXPECT_EQ(code_of([&] { w.finish_sync(); }), ErrorCode::kInternal);
+    EXPECT_TRUE(w.failed());
+    EXPECT_EQ(code_of([&] { w.finish_sync(); }), ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] { w.start_sync(); }), ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] {
+                w.write(serve::JournalRecordType::kStep, {2});
+              }),
+              ErrorCode::kInternal);
+    EXPECT_EQ(code_of([&] {
+                w.append(serve::JournalRecordType::kStep, {2});
+              }),
+              ErrorCode::kInternal);
+    EXPECT_EQ(w.records_written(), 1u);
+  }
+  // Only the header and the first record ever reached the file.
+  std::vector<std::uint8_t> bytes(4096);
+  const ssize_t n = ::read(reader, bytes.data(), bytes.size());
+  ::close(reader);
+  EXPECT_EQ(n, static_cast<ssize_t>(serve::kJournalHeaderBytes + 21 + 1));
 }
 
 // --- runtime-level idempotence and hygiene --------------------------------

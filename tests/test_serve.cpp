@@ -506,45 +506,77 @@ TEST(ServeRuntime, ConcurrentSessionsBitIdenticalToSerialReplay) {
   // each bit-identical to its serial replay. Sessions get distinct gains so
   // their trajectories differ (a shared-state bug cannot hide behind
   // identical outputs), but share one kernel (gain is a controller knob).
+  // The journaled arm syncs each step on its session's sync thread while
+  // the turns run, some steps sharing the sync with a compaction image; the
+  // recovered pool must then resume every session bit-identically.
   constexpr int kSessions = 16;
   constexpr std::uint32_t kChunks = 5;
   constexpr std::uint32_t kChunkTurns = 120;
 
-  serve::RuntimeConfig rc;
-  rc.max_concurrent_steps = 4;   // force gate contention
-  rc.occupancy_budget = 16.0;    // 16 x ~0.63 exceeds the default budget
-  serve::SessionRuntime runtime(rc);
-
   std::vector<api::SessionConfig> configs(kSessions);
-  std::vector<std::uint32_t> ids(kSessions);
   for (int i = 0; i < kSessions; ++i) {
     configs[i] = api::paper_operating_point();
     configs[i].jump_start_s = 0.1e-3;  // jump inside the short run
     configs[i].gain = -2.0 - 0.5 * i;
-    ids[i] = runtime.create(configs[i]);
   }
-  EXPECT_EQ(runtime.stats().kernel_compilations, 1u);
+  const std::string state_dir =
+      ::testing::TempDir() + "citl_serve_concurrent_journaled";
+  std::filesystem::remove_all(state_dir);
 
-  std::vector<std::vector<hil::TurnRecord>> wire(kSessions);
-  std::vector<std::thread> threads;
-  threads.reserve(kSessions);
-  for (int i = 0; i < kSessions; ++i) {
-    threads.emplace_back([&, i] {
-      for (std::uint32_t c = 0; c < kChunks; ++c) {
-        const auto batch = runtime.step(ids[i], kChunkTurns);
-        wire[i].insert(wire[i].end(), batch.begin(), batch.end());
+  for (const bool journaled : {false, true}) {
+    SCOPED_TRACE(journaled ? "journaled" : "unjournaled");
+    serve::RuntimeConfig rc;
+    rc.max_concurrent_steps = 4;   // force gate contention
+    rc.occupancy_budget = 16.0;    // 16 x ~0.63 exceeds the default budget
+    if (journaled) {
+      rc.state_dir = state_dir;
+      rc.checkpoint_interval_turns = 200;  // images before steps 3 and 5
+    }
+    std::vector<std::uint32_t> ids(kSessions);
+    {
+      serve::SessionRuntime runtime(rc);
+      for (int i = 0; i < kSessions; ++i) ids[i] = runtime.create(configs[i]);
+      EXPECT_EQ(runtime.stats().kernel_compilations, 1u);
+
+      std::vector<std::vector<hil::TurnRecord>> wire(kSessions);
+      std::vector<std::thread> threads;
+      threads.reserve(kSessions);
+      for (int i = 0; i < kSessions; ++i) {
+        threads.emplace_back([&, i] {
+          for (std::uint32_t c = 0; c < kChunks; ++c) {
+            const auto batch = runtime.step(ids[i], kChunkTurns);
+            wire[i].insert(wire[i].end(), batch.begin(), batch.end());
+          }
+        });
       }
-    });
-  }
-  for (auto& t : threads) t.join();
+      for (auto& t : threads) t.join();
 
-  for (int i = 0; i < kSessions; ++i) {
-    SCOPED_TRACE("session " + std::to_string(i));
-    expect_bit_identical(wire[i],
-                         serial_replay(configs[i], kChunks * kChunkTurns));
+      for (int i = 0; i < kSessions; ++i) {
+        SCOPED_TRACE("session " + std::to_string(i));
+        expect_bit_identical(wire[i],
+                             serial_replay(configs[i], kChunks * kChunkTurns));
+      }
+      EXPECT_EQ(runtime.stats().turns_stepped,
+                static_cast<std::uint64_t>(kSessions) * kChunks * kChunkTurns);
+      // Per session: the config, five steps and two compaction images.
+      EXPECT_EQ(runtime.stats().journal_records, journaled ? kSessions * 8u : 0u);
+    }
+    if (!journaled) continue;
+
+    serve::SessionRuntime recovered(rc);
+    ASSERT_EQ(recovered.recover(), static_cast<std::size_t>(kSessions));
+    EXPECT_EQ(recovered.stats().journals_corrupt, 0u);
+    for (int i = 0; i < kSessions; ++i) {
+      SCOPED_TRACE("recovered session " + std::to_string(i));
+      const serve::SessionInfo info = recovered.info(ids[i]);
+      EXPECT_EQ(info.turn, kChunks * kChunkTurns);
+      EXPECT_EQ(info.last_step_seq, kChunks);
+      const auto full = serial_replay(configs[i], (kChunks + 1) * kChunkTurns);
+      expect_bit_identical(
+          recovered.step(ids[i], kChunkTurns),
+          std::vector<hil::TurnRecord>(full.end() - kChunkTurns, full.end()));
+    }
   }
-  EXPECT_EQ(runtime.stats().turns_stepped,
-            static_cast<std::uint64_t>(kSessions) * kChunks * kChunkTurns);
 }
 
 TEST(ServeRuntime, PrometheusTextCarriesSessionSeries) {
