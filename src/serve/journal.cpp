@@ -114,6 +114,10 @@ int write_all(int fd, const std::uint8_t* data, std::size_t n) noexcept {
   return 0;
 }
 
+/// The one fsync routine, run inline by append() and on the sync thread.
+/// Returns 0 or the errno of the failed call.
+int sync_fd(int fd) noexcept { return ::fsync(fd) == 0 ? 0 : errno; }
+
 }  // namespace
 
 // --- writer ---------------------------------------------------------------
@@ -179,10 +183,6 @@ class JournalWriter::SyncThread {
 };
 
 JournalWriter::JournalWriter() = default;
-
-int JournalWriter::sync_fd(int fd) noexcept {
-  return ::fsync(fd) == 0 ? 0 : errno;
-}
 
 JournalWriter::JournalWriter(const std::string& path, std::uint32_t session_id,
                              std::uint64_t config_digest)

@@ -178,9 +178,6 @@ class JournalWriter {
  private:
   class SyncThread;
 
-  /// The one fsync routine, run inline by append() and on the sync thread.
-  /// Returns 0 or the errno of the failed call.
-  [[nodiscard]] static int sync_fd(int fd) noexcept;
   /// Marks the writer failed and throws Error{kInternal}.
   [[noreturn]] void fail(const std::string& what, int err);
   /// Throws Error{kInternal} if the writer failed earlier.

@@ -515,7 +515,7 @@ namespace {
 
 /// Lowers the soft RLIMIT_FSIZE with SIGXFSZ ignored, so a write past the
 /// limit tears and then fails with EFBIG instead of killing the process.
-/// restore() (or leaving the scope) puts the limit and the signal back.
+/// Leaving the scope puts the limit and the signal back.
 class FileSizeLimit {
  public:
   explicit FileSizeLimit(std::uintmax_t bytes) {
@@ -526,13 +526,11 @@ class FileSizeLimit {
     EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
   }
   ~FileSizeLimit() {
-    restore();
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0);
     std::signal(SIGXFSZ, saved_handler_);
   }
   FileSizeLimit(const FileSizeLimit&) = delete;
   FileSizeLimit& operator=(const FileSizeLimit&) = delete;
-
-  void restore() { EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0); }
 
  private:
   rlimit saved_{};
@@ -580,7 +578,6 @@ TEST(ServeJournal, FailedWriteIsNeverAcknowledged) {
       // Step 2's 33-byte record may grow the file by 10 bytes only.
       FileSizeLimit limit(std::filesystem::file_size(path) + 10);
       torn = code_of([&] { (void)rt.step(id, 100, 2); });
-      limit.restore();
     }
     EXPECT_EQ(torn, ErrorCode::kInternal);
 
