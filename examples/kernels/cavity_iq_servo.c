@@ -2,7 +2,7 @@
 // against an on-chip LO, with PI amplitude and phase servos driving a
 // first-order cavity model. Three CORDIC evaluations per iteration plus
 // sqrt/div and predicated limiters — the headline workload for the native
-// codegen tier (bench/bench_codegen.cpp). Schedules on grid_4x4.
+// codegen tier (docs/CODEGEN.md). Schedules on grid_4x4.
 param float f_lo = 0.0125;       // LO frequency [cycles/iteration]
 param float a_ref = 0.75;        // amplitude setpoint
 param float k_p = 0.08;          // proportional gain (both loops)

@@ -1068,10 +1068,6 @@ std::string NativeKernelCache::compiler_version() {
   return compiler_info().version;
 }
 
-std::string NativeKernelCache::target_simd_arch() {
-  return compiler_info().arch;
-}
-
 std::string NativeKernelCache::cache_dir() {
   if (const char* env = std::getenv("CITL_KERNEL_CACHE_DIR")) {
     if (env[0] != '\0') return env;
@@ -1277,7 +1273,7 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     return nullptr;
   }
 
-  // Compilation report (one JSON per cache entry; bench and tests read it).
+  // Compilation report (one JSON per cache entry; tests read it).
   {
     std::ostringstream j;
     j << "{\n"

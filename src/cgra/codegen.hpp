@@ -149,9 +149,6 @@ class NativeKernelCache {
   static std::string compiler_command();
   /// First line of `<cc> --version` ("" when unavailable).
   static std::string compiler_version();
-  /// SIMD back end the resolved compiler selects under the emitted flags
-  /// ("avx2" / "neon" / "scalar"; "" when unavailable).
-  static std::string target_simd_arch();
   /// Disk cache directory (created on demand by get()).
   static std::string cache_dir();
 

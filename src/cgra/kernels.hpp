@@ -68,7 +68,7 @@ struct BeamKernelConfig {
 /// first-order cavity model. Three trig evaluations per iteration plus
 /// sqrt/div and predicated drive limiters — the worst case for the
 /// interpreter's node-at-a-time walk and the headline workload for the
-/// native codegen tier (bench_codegen). Schedules on grid_4x4 (the
+/// native codegen tier (docs/CODEGEN.md). Schedules on grid_4x4 (the
 /// anti-diagonal's CORDIC PEs serialise the trig ops).
 [[nodiscard]] std::string cavity_iq_servo_source();
 
