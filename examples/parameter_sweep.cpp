@@ -12,9 +12,9 @@
 //                        [--blackbox out.json]
 //
 // `--quick` shrinks the grid to 2x2 (4 scenarios) for CI smoke runs.
-// `--batch N` executes the sweep through the lane-parallel batched engine
-// (N lanes per chunk); the reports are byte-identical to the per-scenario
-// path (pinned by the BatchSweep tests).
+// `--batch N` runs the scenarios as lockstep chunks of N lanes instead of
+// one lane each; the reports are byte-identical at any N (pinned by the
+// BatchSweep tests).
 // `--trace` enables the event tracer and writes a Chrome trace-event file
 // (open in Perfetto or chrome://tracing). `--metrics` enables the metrics
 // registry and writes its JSON snapshot after the sweep.
@@ -143,14 +143,9 @@ int main(int argc, char** argv) {
               config.scenarios.size(), duration_ms);
   const sweep::SweepResult r = sweep::run_sweep(config);
   std::printf("done: %u threads, %.2f s wall, %zu distinct kernel(s), "
-              "%zu compilation(s)%s\n\n",
+              "%zu compilation(s), %zu lockstep chunk(s)\n\n",
               r.threads_used, r.wall_time_s, r.distinct_kernels,
-              r.kernel_compilations,
-              r.batch_chunks > 0
-                  ? (", " + std::to_string(r.batch_chunks) +
-                     " lockstep chunk(s)")
-                        .c_str()
-                  : "");
+              r.kernel_compilations, r.batch_chunks);
 
   io::Table t({"scenario", "f_s meas [Hz]", "tau [ms]", "first p2p [deg]",
                "steady RMS [deg]", "rt viol"});

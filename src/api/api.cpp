@@ -3,6 +3,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "core/fnv1a.hpp"
 #include "core/units.hpp"
 #include "phys/ion.hpp"
 #include "phys/machine.hpp"
@@ -81,18 +82,12 @@ void validate(const SessionConfig& config) {
 
 namespace {
 
-/// FNV-1a 64-bit, fed field by field in the citl-wire-v1 create-payload
-/// order. Doubles hash their raw binary64 bit pattern so the digest is as
-/// bit-exact as the wire encoding itself.
+/// FNV-1a (core/fnv1a.hpp), fed field by field in the citl-wire-v1
+/// create-payload order. Doubles hash their raw binary64 bit pattern so the
+/// digest is as bit-exact as the wire encoding itself.
 class Fnv1a {
  public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
+  void bytes(const void* data, std::size_t n) { h_ = fnv1a(h_, data, n); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
@@ -108,7 +103,7 @@ class Fnv1a {
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
+  std::uint64_t h_ = kFnv1aOffset;
 };
 
 }  // namespace

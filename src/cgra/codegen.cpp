@@ -19,6 +19,7 @@
 #include "cgra/exec.hpp"
 #include "cgra/op.hpp"
 #include "cgra/sensor.hpp"
+#include "core/fnv1a.hpp"
 #include "obs/metrics.hpp"
 
 // The portability header, embedded at build time (embed_header.cmake) so the
@@ -764,18 +765,10 @@ int run_command(const std::string& cmd, std::string* out) {
   return finish_command(start_command(cmd), out);
 }
 
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// 32-hex digest: FNV-1a under two offset bases.
 std::string digest_hex(const std::string& s) {
-  const std::uint64_t h1 = fnv1a(s, 14695981039346656037ull);
-  const std::uint64_t h2 = fnv1a(s, 0x9e3779b97f4a7c15ull);
+  const std::uint64_t h1 = fnv1a(kFnv1aOffset, s.data(), s.size());
+  const std::uint64_t h2 = fnv1a(0x9e3779b97f4a7c15ull, s.data(), s.size());
   char buf[33];
   std::snprintf(buf, sizeof buf, "%016llx%016llx",
                 static_cast<unsigned long long>(h1),

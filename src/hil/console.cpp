@@ -143,7 +143,7 @@ std::string Console::execute(const std::string& line) {
     if (cmd == "set" && toks.size() == 3) {
       double v = 0.0;
       if (!parse_double(toks[2], &v)) return error("bad value " + toks[2]);
-      fw_.params().set(toks[1], v);
+      fw_.write_register(toks[1], v);
       return ok("set " + toks[1]);
     }
 
@@ -172,12 +172,15 @@ std::string Console::execute(const std::string& line) {
     }
 
     if (cmd == "monitor" && toks.size() == 2) {
+      const auto select = [this](MonitorSource source) {
+        fw_.write_register("monitor_source", static_cast<double>(source));
+      };
       if (toks[1] == "phase") {
-        fw_.params().select_monitor(MonitorSource::kPhaseDifference);
+        select(MonitorSource::kPhaseDifference);
         return ok("monitor: phase difference");
       }
       if (toks[1] == "beam") {
-        fw_.params().select_monitor(MonitorSource::kBeamSignalMirror);
+        select(MonitorSource::kBeamSignalMirror);
         return ok("monitor: beam mirror");
       }
       return error("monitor expects 'phase' or 'beam'");
@@ -185,11 +188,11 @@ std::string Console::execute(const std::string& line) {
 
     if (cmd == "record" && toks.size() == 2) {
       if (toks[1] == "on") {
-        fw_.params().set("record_enable", 1.0);
+        fw_.write_register("record_enable", 1.0);
         return ok("recording on");
       }
       if (toks[1] == "off") {
-        fw_.params().set("record_enable", 0.0);
+        fw_.write_register("record_enable", 0.0);
         return ok("recording off");
       }
       if (toks[1] == "clear") {

@@ -111,6 +111,15 @@ Framework::Framework(const FrameworkConfig& config)
 
 Framework::Framework(const FrameworkConfig& config,
                      std::shared_ptr<const cgra::CompiledKernel> kernel)
+    : Framework(config, std::move(kernel), ExternalModel{}) {
+  machine_ = std::make_unique<cgra::BatchedCgraMachine>(
+      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
+  attach_model(*machine_, 0);
+}
+
+Framework::Framework(const FrameworkConfig& config,
+                     std::shared_ptr<const cgra::CompiledKernel> kernel,
+                     ExternalModel)
     : config_(config),
       kernel_(std::move(kernel)),
       ref_dds_(kSampleClock, config.f_ref_hz, config.ref_amplitude_v),
@@ -149,9 +158,6 @@ Framework::Framework(const FrameworkConfig& config,
       beam_trace_("beam_v", 1, 1u << 20) {
   CITL_CHECK_MSG(kernel_ != nullptr, "Framework needs a compiled kernel");
   bus_ = std::make_unique<FrameworkBus>(*this);
-  machine_ = std::make_unique<cgra::BatchedCgraMachine>(
-      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
-  exec_model_ = machine_.get();
   control_on_ = config.control_enabled;
   last_phase_ = std::numeric_limits<double>::quiet_NaN();
 
@@ -169,8 +175,8 @@ Framework::Framework(const FrameworkConfig& config,
         [this](const std::string& target) { return params_.has(target); });
   }
   if (config.supervisor.enabled) {
+    // attach_model() points the supervisor's state guard at the model lane.
     supervisor_ = std::make_unique<Supervisor>(config.supervisor);
-    supervisor_->attach_model(*machine_, 0);
     supervisor_->attach_params(params_);
   }
 
@@ -269,7 +275,7 @@ void Framework::run_cgra() {
     }
   }
 
-  if (cgra_deferred_) {
+  if (cgra_deferred_ || machine_ == nullptr) {
     // Batched mode: park the request. Budget and timestamp are captured now
     // so complete_cgra_run() accounts exactly what the owned path would.
     CITL_CHECK_MSG(!cgra_pending_,
@@ -294,6 +300,7 @@ void Framework::run_cgra() {
 cgra::SensorBus& Framework::cgra_bus() noexcept { return *bus_; }
 
 bool Framework::run_until_cgra_request(std::int64_t max_ticks) {
+  CITL_CHECK_MSG(exec_model_ != nullptr, "no model attached");
   CITL_CHECK_MSG(!cgra_pending_, "pending CGRA request not completed");
   for (std::int64_t i = 0; i < max_ticks && !cgra_pending_ && !aborted(); ++i) {
     tick();
@@ -310,10 +317,18 @@ void Framework::complete_cgra_run(unsigned exec_cycles) {
   post_turn();
 }
 
-void Framework::attach_cgra_model(cgra::BeamModel& model, std::size_t lane) {
+void Framework::attach_model(cgra::BeamModel& model, std::size_t lane) {
+  CITL_CHECK_MSG(&model.kernel() == kernel_.get(),
+                 "attached model executes a different kernel");
+  CITL_CHECK_MSG(lane < model.lanes(), "attach_model lane out of range");
   exec_model_ = &model;
   exec_lane_ = lane;
   if (supervisor_ != nullptr) supervisor_->attach_model(model, lane);
+}
+
+void Framework::write_register(const std::string& name, double value) {
+  params_.set(name, value);
+  if (supervisor_ != nullptr) supervisor_->note_param_write(name, value);
 }
 
 void Framework::replay_actuator_writes() {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cgra/batch.hpp"
@@ -76,16 +77,24 @@ struct FrameworkOutputs {
 
 class Framework {
  public:
+  /// Tag: construct without an owned machine. attach_model() must point the
+  /// framework at a lane of a shared cgra::BeamModel before the first tick.
+  struct ExternalModel {};
+
   explicit Framework(const FrameworkConfig& config);
 
   /// Constructs against an already-compiled kernel (shared, immutable). The
   /// kernel must equal `compile_kernel(beam_kernel_source(
-  /// effective_kernel_config(config)), config.arch)` — scenario sweeps use
-  /// this with a kernel cache so a hundred frameworks share one compilation.
-  /// Each framework still owns its private one-lane engine (all mutable
-  /// state).
+  /// effective_kernel_config(config)), config.arch)`. The framework owns a
+  /// private one-lane engine for it (all mutable state).
   Framework(const FrameworkConfig& config,
             std::shared_ptr<const cgra::CompiledKernel> kernel);
+  /// Shared kernel and no owned machine: every reference crossing raises a
+  /// deferred CGRA request, executed on the attached lane by the owner of
+  /// that model (scenario sweeps, which run a chunk of frameworks as lanes
+  /// of one machine).
+  Framework(const FrameworkConfig& config,
+            std::shared_ptr<const cgra::CompiledKernel> kernel, ExternalModel);
   ~Framework();
 
   /// Advances one 250 MHz tick; returns the DAC outputs for that tick.
@@ -107,6 +116,7 @@ class Framework {
   // monitor DAC sample of the crossing tick itself).
 
   /// Switches tick() to raising CGRA requests. Enable before the first tick.
+  /// A framework built on an ExternalModel always raises them.
   void set_cgra_deferred(bool on) noexcept { cgra_deferred_ = on; }
   /// The framework's sensor bus, for attaching to a batched machine's lane.
   [[nodiscard]] cgra::SensorBus& cgra_bus() noexcept;
@@ -114,18 +124,15 @@ class Framework {
   /// true when a request is pending (complete_cgra_run() must follow before
   /// the next call).
   bool run_until_cgra_request(std::int64_t max_ticks);
-  [[nodiscard]] bool cgra_request_pending() const noexcept {
-    return cgra_pending_;
-  }
   /// Acknowledges the pending request after the external model executed this
   /// lane; performs the same deadline accounting the owned path does.
   void complete_cgra_run(unsigned exec_cycles);
 
-  /// Points the injector's state faults and the supervisor's state guard at
-  /// the model that actually executes this framework's kernel — call after
-  /// attaching the bus to lane `lane` of a batched machine. The owned
-  /// one-lane engine is the default.
-  void attach_cgra_model(cgra::BeamModel& model, std::size_t lane);
+  /// Points the framework at lane `lane` of the model that executes its
+  /// kernel (its sensor bus for that lane must be this framework's
+  /// cgra_bus()): the injector's state faults and the supervisor's state
+  /// guard act on that lane. The owned one-lane engine is the default.
+  void attach_model(cgra::BeamModel& model, std::size_t lane);
 
   /// The fault injector driving this run (nullptr on a fault-free run).
   [[nodiscard]] const fault::FaultInjector* injector() const noexcept {
@@ -159,10 +166,16 @@ class Framework {
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
     return *kernel_;
   }
+  /// The owned one-lane engine (none on an ExternalModel framework).
   [[nodiscard]] cgra::BatchedCgraMachine& machine() noexcept {
     return *machine_;
   }
   [[nodiscard]] ParameterBus& params() noexcept { return params_; }
+  /// An operator's register write (the console's set, monitor and record):
+  /// the supervisor's scrub shadow takes the new value too, so the write
+  /// stands instead of being restored as corruption. A bare params().set()
+  /// bypasses the shadow.
+  void write_register(const std::string& name, double value);
   [[nodiscard]] const FrameworkConfig& config() const noexcept {
     return config_;
   }

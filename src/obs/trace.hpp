@@ -2,7 +2,7 @@
 //
 // The output loads directly into chrome://tracing or https://ui.perfetto.dev
 // and shows, per thread, where the wall-clock time of a run went: kernel
-// compilation passes, per-scenario sweep tasks, CGRA revolutions, plus
+// compilation passes, sweep chunks, CGRA revolutions, plus
 // counter tracks (e.g. the sweep's pending-scenario queue depth).
 //
 // Mechanics:

@@ -11,6 +11,8 @@
 #include <thread>
 #include <utility>
 
+#include "core/fnv1a.hpp"
+
 namespace citl::serve {
 
 const char* journal_record_type_name(JournalRecordType type) noexcept {
@@ -29,20 +31,9 @@ const char* journal_record_type_name(JournalRecordType type) noexcept {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 /// Fixed bytes per record around the payload: u32 len + u8 type + u64 seq
 /// before, u64 chain hash after.
 constexpr std::size_t kRecordOverhead = 4 + 1 + 8 + 8;
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
-                    std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Chain step shared by writer and scanner: mixes the previous chain value
 /// with the record identity and payload.
@@ -55,7 +46,7 @@ std::uint64_t chain_record(std::uint64_t prev, JournalRecordType type,
   for (int i = 0; i < 8; ++i) {
     fixed[9 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
   }
-  std::uint64_t h = fnv1a(kFnvOffset, fixed, sizeof(fixed));
+  std::uint64_t h = fnv1a(kFnv1aOffset, fixed, sizeof(fixed));
   return fnv1a(h, payload, len);
 }
 
@@ -193,7 +184,7 @@ JournalWriter::JournalWriter(const std::string& path, std::uint32_t session_id,
   if (const int err = write_all(fd_, header.data(), header.size())) {
     throw_io("write failed", path, err);
   }
-  chain_ = fnv1a(kFnvOffset, header.data(), header.size());
+  chain_ = fnv1a(kFnv1aOffset, header.data(), header.size());
   bytes_ = header.size();
 }
 
@@ -367,7 +358,7 @@ JournalScan scan_journal(const std::string& path) {
   JournalScan out;
   out.session_id = get_u32(bytes.data() + 16);
   out.config_digest = get_u64(bytes.data() + 20);
-  out.chain = fnv1a(kFnvOffset, bytes.data(), kJournalHeaderBytes);
+  out.chain = fnv1a(kFnv1aOffset, bytes.data(), kJournalHeaderBytes);
   out.valid_bytes = kJournalHeaderBytes;
 
   std::size_t pos = kJournalHeaderBytes;

@@ -90,12 +90,6 @@ ScenarioGridBuilder& ScenarioGridBuilder::name_prefix(std::string prefix) {
   return *this;
 }
 
-ScenarioGridBuilder& ScenarioGridBuilder::mutate(
-    std::function<void(Scenario&)> fn) {
-  mutate_ = std::move(fn);
-  return *this;
-}
-
 std::size_t ScenarioGridBuilder::size() const noexcept {
   const auto dim = [](std::size_t n) { return n == 0 ? 1 : n; };
   return dim(jumps_deg_.size()) * dim(gains_.size()) *
@@ -155,7 +149,6 @@ std::vector<Scenario> ScenarioGridBuilder::build() const {
             }
             s.name = name.empty() ? "scenario" + std::to_string(out.size())
                                   : std::move(name);
-            if (mutate_) mutate_(s);
             out.push_back(std::move(s));
           }
         }

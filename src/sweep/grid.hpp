@@ -20,7 +20,6 @@
 // fault campaign runs every plan against every operating point).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,9 +66,6 @@ class ScenarioGridBuilder {
   ScenarioGridBuilder& ensemble_reference(bool on);
   /// Prefix prepended to every generated scenario name.
   ScenarioGridBuilder& name_prefix(std::string prefix);
-  /// Final per-scenario hook, applied after all axes: arbitrary adjustments
-  /// the axes do not cover (e.g. detector selection, noise).
-  ScenarioGridBuilder& mutate(std::function<void(Scenario&)> fn);
 
   /// Number of scenarios build() will produce.
   [[nodiscard]] std::size_t size() const noexcept;
@@ -87,7 +83,6 @@ class ScenarioGridBuilder {
   double jump_interval_s_ = 1.0;
   double jump_start_s_ = 1.0e-3;
   std::string prefix_;
-  std::function<void(Scenario&)> mutate_;
 };
 
 }  // namespace citl::sweep

@@ -1,6 +1,5 @@
 #include "sweep/kernel_cache.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "obs/metrics.hpp"
@@ -135,28 +134,6 @@ std::shared_ptr<const cgra::CompiledKernel> KernelCache::get(
     std::lock_guard lock(mutex_);
     entries_.erase(key);  // allow a corrected config to retry later
     throw;
-  }
-}
-
-std::shared_ptr<const cgra::CompiledKernel> KernelCache::peek(
-    const std::string& key) const {
-  Entry entry;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return nullptr;
-    entry = it->second;
-  }
-  // A present entry may still be an in-flight or failed compilation; peek
-  // reports both as absent rather than blocking or throwing.
-  if (entry.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return nullptr;
-  }
-  try {
-    return entry.get();
-  } catch (...) {
-    return nullptr;
   }
 }
 

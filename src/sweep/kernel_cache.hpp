@@ -49,13 +49,6 @@ class KernelCache {
       const cgra::BeamKernelConfig& config, const cgra::CgraArch& arch,
       KernelKind kind = KernelKind::kSampled);
 
-  /// Already-compiled kernel for `key`, or nullptr when the key was never
-  /// resolved (or its compilation failed). Does NOT count as a lookup and
-  /// never compiles — the read-only accessor for post-run passes (e.g. the
-  /// sweep's attribution section) that must not skew the hit/miss stats.
-  [[nodiscard]] std::shared_ptr<const cgra::CompiledKernel> peek(
-      const std::string& key) const;
-
   /// Number of compilations actually performed (== distinct keys resolved).
   [[nodiscard]] std::size_t compilations() const noexcept {
     return compilations_.load(std::memory_order_relaxed);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "cgra/batch.hpp"
@@ -31,12 +32,6 @@ std::string scenario_kernel_key(const Scenario& s) {
                           scenario_kernel_kind(s));
 }
 
-std::shared_ptr<const cgra::CompiledKernel> scenario_kernel(
-    KernelCache& cache, const Scenario& s) {
-  return cache.get(hil::effective_kernel_config(s.loop()), s.loop().arch,
-                   scenario_kernel_kind(s));
-}
-
 /// Lockstep-group key: scenarios may share a lane batch only when they run
 /// the same compiled kernel through the same engine and execution tier
 /// (lanes of one BatchedCgraMachine all run one tier).
@@ -52,6 +47,13 @@ std::string scenario_group_key(const Scenario& s) {
 [[nodiscard]] std::int64_t turn_count(const Scenario& scenario) {
   return static_cast<std::int64_t>(scenario.duration_s *
                                    scenario.loop().f_ref_hz);
+}
+
+/// `config` with the scenario's derived seed for its noise streams.
+template <class Config>
+Config seeded(Config config, std::uint64_t seed) {
+  config.noise_seed = seed;
+  return config;
 }
 
 [[nodiscard]] double jump_start_s(const Scenario& scenario) {
@@ -137,15 +139,12 @@ void finalize_result(const Scenario& scenario, const Loop& loop,
 }
 
 /// Opt-in oracle axis: re-runs the (turn-level) scenario through the spec's
-/// fidelity pair and fills the two oracle metric columns. Runs identically
-/// from the serial and the chunked path — the oracle constructs its own
-/// loops from (scenario config, derived seed) alone, so the sweep's
-/// byte-identity guarantee extends to these columns.
+/// fidelity pair and fills the two oracle metric columns. The oracle
+/// constructs its own loops from (scenario config, derived seed) alone, so
+/// the sweep's byte-identity guarantee extends to these columns.
 void run_scenario_oracle(const Scenario& scenario, std::uint64_t seed,
                          ScenarioMetrics& metrics) {
   if (!scenario.oracle.enabled) return;
-  hil::TurnLoopConfig tc = scenario.turnloop;
-  tc.noise_seed = seed;
   oracle::OracleConfig oc;
   oc.reference = scenario.oracle.reference;
   oc.candidate = scenario.oracle.candidate;
@@ -155,161 +154,137 @@ void run_scenario_oracle(const Scenario& scenario, std::uint64_t seed,
   // Sweeps only report the columns; minimising and archiving a divergence is
   // the oracle_hunt driver's job.
   oc.shrink = false;
-  const oracle::OracleReport rep = oracle::run_oracle(tc, oc);
+  const oracle::OracleReport rep =
+      oracle::run_oracle(seeded(scenario.turnloop, seed), oc);
   metrics.max_ulp_err = rep.max_ulp_err;
   metrics.first_divergent_turn = rep.first_divergent_turn;
 }
 
-// --- per-scenario (serial) runners ------------------------------------------
+// --- lockstep chunks -------------------------------------------------------
+// A lane is one scenario's loop, built on the chunk's machine. The engines
+// differ only in how a lane reaches its next kernel iteration (begin) and
+// how it completes one (finish).
 
-ScenarioResult run_framework_scenario(const Scenario& scenario,
-                                      std::size_t index, std::uint64_t seed,
-                                      KernelCache& cache,
-                                      bool collect_traces) {
-  ScenarioResult out;
-  out.name = scenario.name;
-  out.index = index;
-  out.seed = seed;
+/// A turn-level scenario: begin_turn() presents the revolution's inputs,
+/// finish_turn() completes it, and the lane records the phase series.
+struct TurnLane {
+  static constexpr bool kRevolutionSpan = false;
 
-  hil::FrameworkConfig fc = scenario.framework;
-  fc.noise_seed = seed;
-  auto kernel = scenario_kernel(cache, scenario);
-
-  const auto wall_begin = std::chrono::steady_clock::now();
-  hil::Framework fw(fc, std::move(kernel));
-  {
-    // One span per scenario task: the trace shows which worker ran which
-    // scenario and for how long. scenario.name outlives the span.
-    obs::ScopedSpan span(scenario.name);
-    fw.run_seconds(scenario.duration_s);
+  TurnLane(const Scenario& scenario, std::uint64_t seed,
+           std::shared_ptr<const cgra::CompiledKernel> kernel)
+      : loop(std::make_unique<hil::TurnLoop>(seeded(scenario.turnloop, seed),
+                                             std::move(kernel),
+                                             hil::TurnLoop::ExternalModel{})),
+        turns(turn_count(scenario)) {
+    ts.reserve(static_cast<std::size_t>(turns));
+    phases.reserve(static_cast<std::size_t>(turns));
   }
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  finalize_result(scenario, fw, fw.cgra_runs(), fw.phase_trace().times(),
-                  fw.phase_trace().values(),
-                  std::chrono::duration<double>(wall_end - wall_begin).count(),
-                  out.metrics);
-  if (collect_traces) {
-    out.trace_time_s = fw.phase_trace().times();
-    out.trace_phase_rad = fw.phase_trace().values();
+  bool begin() {
+    if (loop->turn() >= turns || loop->aborted()) return false;
+    loop->begin_turn();
+    return true;
   }
-  if (scenario.ensemble_reference) {
-    fill_ensemble_reference(scenario, seed, out);
+  void finish(unsigned exec_cycles) {
+    const hil::TurnRecord r = loop->finish_turn(exec_cycles);
+    ts.push_back(r.time_s);
+    phases.push_back(r.phase_rad);
   }
-  return out;
-}
+  void report(const Scenario& scenario, double wall_s, bool collect_traces,
+              ScenarioResult& out) {
+    finalize_result(scenario, *loop, loop->turn(), ts, phases, wall_s,
+                    out.metrics);
+    if (collect_traces) {
+      out.trace_time_s = std::move(ts);
+      out.trace_phase_rad = std::move(phases);
+    }
+  }
 
-ScenarioResult run_turn_scenario(const Scenario& scenario, std::size_t index,
-                                 std::uint64_t seed, KernelCache& cache,
-                                 bool collect_traces) {
-  ScenarioResult out;
-  out.name = scenario.name;
-  out.index = index;
-  out.seed = seed;
-
-  hil::TurnLoopConfig tc = scenario.turnloop;
-  tc.noise_seed = seed;
-  auto kernel = scenario_kernel(cache, scenario);
-
-  const auto turns = turn_count(scenario);
+  std::unique_ptr<hil::TurnLoop> loop;
+  std::int64_t turns;
   std::vector<double> ts, phases;
-  ts.reserve(static_cast<std::size_t>(turns));
-  phases.reserve(static_cast<std::size_t>(turns));
+};
 
-  const auto wall_begin = std::chrono::steady_clock::now();
-  hil::TurnLoop loop(tc, std::move(kernel));
-  {
-    obs::ScopedSpan span(scenario.name);
-    loop.run(turns, [&](const hil::TurnRecord& r) {
-      ts.push_back(r.time_s);
-      phases.push_back(r.phase_rad);
-    });
+/// A sample-accurate scenario: the framework ticks until its reference
+/// crossing raises a CGRA request, and complete_cgra_run() acknowledges the
+/// iteration. Its own phase trace is the recorded series.
+struct FrameworkLane {
+  /// Each iteration opens hil.cgra_revolution, as a framework's own engine
+  /// does around each kernel run.
+  static constexpr bool kRevolutionSpan = true;
+
+  FrameworkLane(const Scenario& scenario, std::uint64_t seed,
+                std::shared_ptr<const cgra::CompiledKernel> kernel)
+      : loop(std::make_unique<hil::Framework>(
+            seeded(scenario.framework, seed), std::move(kernel),
+            hil::Framework::ExternalModel{})),
+        end_tick(kSampleClock.to_ticks(scenario.duration_s)) {}
+  bool begin() {
+    const Tick remaining = end_tick - loop->now();
+    return remaining > 0 && loop->run_until_cgra_request(remaining);
   }
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  finalize_result(scenario, loop, loop.turn(), ts, phases,
-                  std::chrono::duration<double>(wall_end - wall_begin).count(),
-                  out.metrics);
-  if (collect_traces) {
-    out.trace_time_s = std::move(ts);
-    out.trace_phase_rad = std::move(phases);
+  void finish(unsigned exec_cycles) { loop->complete_cgra_run(exec_cycles); }
+  void report(const Scenario& scenario, double wall_s, bool collect_traces,
+              ScenarioResult& out) const {
+    const hil::Trace& trace = loop->phase_trace();
+    finalize_result(scenario, *loop, loop->cgra_runs(), trace.times(),
+                    trace.values(), wall_s, out.metrics);
+    if (collect_traces) {
+      out.trace_time_s = trace.times();
+      out.trace_phase_rad = trace.values();
+    }
   }
-  run_scenario_oracle(scenario, seed, out.metrics);
-  if (scenario.ensemble_reference) {
-    fill_ensemble_reference(scenario, seed, out);
-  }
-  return out;
-}
 
-ScenarioResult run_scenario(const Scenario& scenario, std::size_t index,
-                            std::uint64_t seed, KernelCache& cache,
-                            bool collect_traces) {
-  return scenario.engine == ScenarioEngine::kTurnLevel
-             ? run_turn_scenario(scenario, index, seed, cache, collect_traces)
-             : run_framework_scenario(scenario, index, seed, cache,
-                                      collect_traces);
-}
+  std::unique_ptr<hil::Framework> loop;
+  Tick end_tick;
+};
 
-// --- lockstep chunk drivers -------------------------------------------------
-
-/// Runs one chunk of sample-accurate scenarios as lanes of a batched
-/// machine: every framework runs in deferred-CGRA mode, parking at its
-/// reference crossing; each round executes one batched kernel iteration
-/// across all parked lanes and acknowledges them. Lanes that exhausted their
-/// tick budget drop out of the active set (lane-masked execution keeps the
-/// others bit-identical to the serial path).
-void run_framework_chunk(const SweepConfig& config,
-                         const std::vector<std::size_t>& members,
-                         KernelCache& cache,
-                         std::vector<ScenarioResult>& results) {
+/// Runs one chunk of kernel-sharing scenarios as lanes of one batched
+/// machine. Each round, every lane that has not finished reaches its next
+/// kernel iteration, one lane-masked iteration executes them all, and each
+/// completes its revolution; lanes that finished drop out of the active set
+/// (lane-masked execution keeps the others bit-identical to a one-lane run).
+template <class Lane>
+void run_chunk(const SweepConfig& config,
+               const std::vector<std::size_t>& members,
+               const std::shared_ptr<const cgra::CompiledKernel>& kernel,
+               std::vector<ScenarioResult>& results) {
   const std::size_t n = members.size();
+  const Scenario& first = config.scenarios[members[0]];
   const auto wall_begin = std::chrono::steady_clock::now();
-  auto kernel = scenario_kernel(cache, config.scenarios[members[0]]);
 
-  std::vector<std::unique_ptr<hil::Framework>> fws(n);
+  std::vector<Lane> lanes;
+  lanes.reserve(n);
   std::vector<cgra::SensorBus*> buses(n);
-  std::vector<Tick> end_tick(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const Scenario& scenario = config.scenarios[members[k]];
-    hil::FrameworkConfig fc = scenario.framework;
-    fc.noise_seed = scenario_seed(config.seed, members[k]);
-    fws[k] = std::make_unique<hil::Framework>(fc, kernel);
-    fws[k]->set_cgra_deferred(true);
-    buses[k] = &fws[k]->cgra_bus();
-    end_tick[k] = kSampleClock.to_ticks(scenario.duration_s);
+    lanes.emplace_back(config.scenarios[members[k]],
+                       scenario_seed(config.seed, members[k]), kernel);
+    buses[k] = &lanes[k].loop->cgra_bus();
   }
   cgra::PerLaneBusAdapter adapter(std::move(buses));
-  cgra::BatchedCgraMachine machine(
-      *kernel, n, adapter, cgra::Precision::kFloat32,
-      config.scenarios[members[0]].loop().exec_tier);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Injected state faults and the supervisor's state guard act on this
-    // framework's lane of the shared machine, not the idle owned one.
-    fws[k]->attach_cgra_model(machine, k);
-  }
+  cgra::BatchedCgraMachine machine(*kernel, n, adapter,
+                                   cgra::Precision::kFloat32,
+                                   first.loop().exec_tier);
+  for (std::size_t k = 0; k < n; ++k) lanes[k].loop->attach_model(machine, k);
 
   {
-    obs::ScopedSpan span("sweep.batch_chunk");
+    // One span per chunk, named after its first scenario: the trace shows
+    // which worker ran which scenarios and for how long.
+    obs::ScopedSpan span(first.name);
     std::vector<std::uint32_t> active;
     active.reserve(n);
-    std::vector<char> done(n, 0);
     for (;;) {
       active.clear();
       for (std::size_t k = 0; k < n; ++k) {
-        if (done[k]) continue;
-        const Tick remaining = end_tick[k] - fws[k]->now();
-        if (remaining > 0 && fws[k]->run_until_cgra_request(remaining)) {
-          active.push_back(static_cast<std::uint32_t>(k));
-        } else {
-          done[k] = 1;
-        }
+        if (lanes[k].begin()) active.push_back(static_cast<std::uint32_t>(k));
       }
       if (active.empty()) break;
+      std::optional<obs::ScopedSpan> revolution;
+      if constexpr (Lane::kRevolutionSpan) {
+        revolution.emplace("hil.cgra_revolution");
+      }
       const unsigned exec =
           machine.run_iteration_lanes(active.data(), active.size());
-      for (const std::uint32_t id : active) {
-        fws[id]->complete_cgra_run(exec);
-      }
+      for (const std::uint32_t id : active) lanes[id].finish(exec);
     }
   }
 
@@ -325,94 +300,7 @@ void run_framework_chunk(const SweepConfig& config,
     out.name = scenario.name;
     out.index = i;
     out.seed = scenario_seed(config.seed, i);
-    const hil::Framework& fw = *fws[k];
-    finalize_result(scenario, fw, fw.cgra_runs(), fw.phase_trace().times(),
-                    fw.phase_trace().values(), wall_s, out.metrics);
-    if (config.collect_traces) {
-      out.trace_time_s = fw.phase_trace().times();
-      out.trace_phase_rad = fw.phase_trace().values();
-    }
-    if (scenario.ensemble_reference) {
-      fill_ensemble_reference(scenario, out.seed, out);
-    }
-  }
-}
-
-/// Runs one chunk of turn-level scenarios in lockstep: each revolution,
-/// every active loop presents its inputs (begin_turn), one batched kernel
-/// iteration executes all active lanes, and every loop completes its
-/// revolution (finish_turn).
-void run_turn_chunk(const SweepConfig& config,
-                    const std::vector<std::size_t>& members,
-                    KernelCache& cache, std::vector<ScenarioResult>& results) {
-  const std::size_t n = members.size();
-  const auto wall_begin = std::chrono::steady_clock::now();
-  auto kernel = scenario_kernel(cache, config.scenarios[members[0]]);
-
-  std::vector<std::unique_ptr<hil::TurnLoop>> loops(n);
-  std::vector<cgra::SensorBus*> buses(n);
-  std::vector<std::int64_t> turns(n);
-  std::vector<std::vector<double>> ts(n), phases(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const Scenario& scenario = config.scenarios[members[k]];
-    hil::TurnLoopConfig tc = scenario.turnloop;
-    tc.noise_seed = scenario_seed(config.seed, members[k]);
-    loops[k] = std::make_unique<hil::TurnLoop>(tc, kernel,
-                                               hil::TurnLoop::ExternalModel{});
-    buses[k] = &loops[k]->cgra_bus();
-    turns[k] = turn_count(scenario);
-    ts[k].reserve(static_cast<std::size_t>(turns[k]));
-    phases[k].reserve(static_cast<std::size_t>(turns[k]));
-  }
-  cgra::PerLaneBusAdapter adapter(std::move(buses));
-  cgra::BatchedCgraMachine machine(
-      *kernel, n, adapter, cgra::Precision::kFloat32,
-      config.scenarios[members[0]].loop().exec_tier);
-  for (std::size_t k = 0; k < n; ++k) {
-    loops[k]->attach_model(machine, k);
-  }
-
-  {
-    obs::ScopedSpan span("sweep.batch_chunk");
-    std::vector<std::uint32_t> active;
-    active.reserve(n);
-    for (;;) {
-      active.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        if (loops[k]->turn() < turns[k] && !loops[k]->aborted()) {
-          loops[k]->begin_turn();
-          active.push_back(static_cast<std::uint32_t>(k));
-        }
-      }
-      if (active.empty()) break;
-      const unsigned exec =
-          machine.run_iteration_lanes(active.data(), active.size());
-      for (const std::uint32_t id : active) {
-        const hil::TurnRecord r = loops[id]->finish_turn(exec);
-        ts[id].push_back(r.time_s);
-        phases[id].push_back(r.phase_rad);
-      }
-    }
-  }
-
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_begin)
-          .count() /
-      static_cast<double>(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = members[k];
-    const Scenario& scenario = config.scenarios[i];
-    ScenarioResult& out = results[i];
-    out.name = scenario.name;
-    out.index = i;
-    out.seed = scenario_seed(config.seed, i);
-    finalize_result(scenario, *loops[k], loops[k]->turn(), ts[k], phases[k],
-                    wall_s, out.metrics);
-    if (config.collect_traces) {
-      out.trace_time_s = std::move(ts[k]);
-      out.trace_phase_rad = std::move(phases[k]);
-    }
+    lanes[k].report(scenario, wall_s, config.collect_traces, out);
     run_scenario_oracle(scenario, out.seed, out.metrics);
     if (scenario.ensemble_reference) {
       fill_ensemble_reference(scenario, out.seed, out);
@@ -500,44 +388,36 @@ SweepResult run_sweep(const SweepConfig& config, ThreadPool* pool) {
     obs::Tracer::global().counter("sweep.scenarios_pending", left);
   };
 
-  if (config.batch_lanes > 1) {
-    // Batched path: chunks of kernel-sharing scenarios are the unit of work.
-    const auto chunks = plan_chunks(config.scenarios, config.batch_lanes);
-    result.batch_chunks = chunks.size();
-    obs::Registry::global().counter("sweep.batch.chunks").add(chunks.size());
-    runner.parallel_for(0, chunks.size(), [&](std::size_t c) {
-      const auto& members = chunks[c];
-      if (config.scenarios[members[0]].engine == ScenarioEngine::kTurnLevel) {
-        run_turn_chunk(config, members, cache, result.scenarios);
-      } else {
-        run_framework_chunk(config, members, cache, result.scenarios);
-      }
-      account_done(members.size());
-    });
-  } else {
-    // One scenario per index; slot `i` is written only by the task running
-    // scenario i, and every input of that task is derived from (config, i) —
-    // this is what makes the sweep schedule-independent.
-    runner.parallel_for(0, config.scenarios.size(), [&](std::size_t i) {
-      result.scenarios[i] =
-          run_scenario(config.scenarios[i], i, scenario_seed(config.seed, i),
-                       cache, config.collect_traces);
-      account_done(1);
-    });
-  }
+  // Chunks of kernel-sharing scenarios are the unit of work. Slot `i` of
+  // the results is written only by the chunk holding scenario i, and every
+  // input of a lane is derived from (config, i) — this is what makes the
+  // sweep schedule-independent.
+  const auto chunks = plan_chunks(
+      config.scenarios, std::max<std::size_t>(1, config.batch_lanes));
+  result.batch_chunks = chunks.size();
+  obs::Registry::global().counter("sweep.batch.chunks").add(chunks.size());
+  std::vector<std::shared_ptr<const cgra::CompiledKernel>> kernels(
+      config.scenarios.size());
+  runner.parallel_for(0, chunks.size(), [&](std::size_t c) {
+    const auto& members = chunks[c];
+    const Scenario& first = config.scenarios[members[0]];
+    auto kernel = cache.get(hil::effective_kernel_config(first.loop()),
+                            first.loop().arch, scenario_kernel_kind(first));
+    for (const std::size_t i : members) kernels[i] = kernel;
+    if (first.engine == ScenarioEngine::kTurnLevel) {
+      run_chunk<TurnLane>(config, members, kernel, result.scenarios);
+    } else {
+      run_chunk<FrameworkLane>(config, members, kernel, result.scenarios);
+    }
+    account_done(members.size());
+  });
 
   // Per-kernel cycle attribution: static schedule profile × the summed
   // cgra_runs of the member scenarios. Ordered by cache key (the std::map),
   // so the report section is deterministic at any thread/lane count.
   for (const auto& [key, members] : distinct) {
     KernelAttribution ka;
-    // peek(): the scenarios already resolved every key, and the attribution
-    // pass must not inflate the cache's lookup/hit statistics.
-    auto kernel = cache.peek(key);
-    if (kernel == nullptr) {
-      kernel = scenario_kernel(cache, config.scenarios[members[0]]);
-    }
-    ka.profile = cgra::kernel_cycle_profile(*kernel);
+    ka.profile = cgra::kernel_cycle_profile(*kernels[members[0]]);
     for (const std::size_t idx : members) {
       ka.iterations +=
           static_cast<std::uint64_t>(result.scenarios[idx].metrics.cgra_runs);

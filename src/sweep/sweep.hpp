@@ -4,15 +4,17 @@
 // against one machine development experiment. A simulator earns its keep by
 // sweeping *many* operating points — controller gains, jump amplitudes,
 // species, harmonics — and that only counts if every result is reproducible.
-// This engine runs many independent hil::Framework instances (optionally
-// with phys::EnsembleTracker ground truth) concurrently on a ThreadPool,
-// one scenario per task, with three guarantees:
+// This engine runs many independent hil::Framework or hil::TurnLoop
+// instances (optionally with ensemble ground truth) as lanes of lockstep
+// chunks, one BatchedCgraMachine per chunk and one chunk per ThreadPool
+// task, with three guarantees:
 //
 //   * distinct CGRA kernels are compiled exactly once per sweep and shared
 //     immutably across scenarios (sweep::KernelCache),
 //   * every scenario derives its RNG streams from (sweep seed, scenario
 //     index) only, and writes into its own pre-sized result slot, so the
-//     sweep output is bit-identical for any thread count or schedule,
+//     sweep output is bit-identical for any thread count, lane count or
+//     schedule,
 //   * per-scenario wall time is measured but kept out of the deterministic
 //     metric set.
 #pragma once
@@ -95,12 +97,13 @@ struct SweepConfig {
   bool collect_traces = true;
   /// Kernel cache to use; nullptr = a cache private to this run_sweep call.
   KernelCache* cache = nullptr;
-  /// Lane width for batched execution. Scenarios sharing one compiled kernel
-  /// (and engine) are grouped into chunks of up to `batch_lanes` lanes, each
-  /// chunk executed by one BatchedCgraMachine in lockstep; chunks are the
-  /// unit of thread-pool work. 0 or 1 keeps the per-scenario path. Reports
-  /// are byte-identical either way at any lane/thread count (a tested
-  /// invariant).
+  /// Lane width of the lockstep chunks. Scenarios sharing one compiled
+  /// kernel, engine and execution tier are grouped into chunks of up to
+  /// `batch_lanes` lanes (0 or 1: one lane each), each chunk executed by
+  /// one BatchedCgraMachine; chunks are the unit of thread-pool work.
+  /// Reports are byte-identical at any lane/thread count (a tested
+  /// invariant). Every lane runs the functional kernel iteration, also for
+  /// a scenario with `cycle_accurate` set (the two are bit-identical).
   std::size_t batch_lanes = 0;
 };
 
@@ -119,7 +122,7 @@ struct SweepResult {
   std::vector<ScenarioResult> scenarios;  ///< index-aligned with the config
   std::size_t kernel_compilations = 0;    ///< compiles performed by this sweep
   std::size_t distinct_kernels = 0;       ///< distinct keys among scenarios
-  std::size_t batch_chunks = 0;           ///< lockstep chunks (0 = per-scenario)
+  std::size_t batch_chunks = 0;           ///< lockstep chunks executed
   /// Per-distinct-kernel hotspot data, ordered by kernel cache key.
   std::vector<KernelAttribution> attribution;
   double wall_time_s = 0.0;

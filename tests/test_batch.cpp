@@ -290,7 +290,7 @@ TEST(BatchSweep, FrameworkReportsByteIdentical) {
   ASSERT_EQ(config.scenarios.size(), 32u);
 
   const SweepResult serial = run_sweep(config);
-  EXPECT_EQ(serial.batch_chunks, 0u);
+  EXPECT_EQ(serial.batch_chunks, 32u);  // one one-lane chunk per scenario
 
   config.batch_lanes = 5;  // uneven split: chunks of 5,5,...,2
   const SweepResult batched = run_sweep(config);
@@ -376,6 +376,37 @@ TEST(BatchSweep, TurnLevelMatchesOwnedLoop) {
   EXPECT_EQ(r.scenarios[0].trace_time_s, ts);
   EXPECT_EQ(r.scenarios[0].trace_phase_rad, phases);
   EXPECT_EQ(r.scenarios[0].metrics.cgra_runs, turns);
+}
+
+TEST(BatchSweep, FrameworkMatchesOwnedLoop) {
+  // A sample-accurate scenario through the sweep engine equals a hand-driven
+  // Framework on its own one-lane engine with the same seed, sample for
+  // sample: the sweep's chunk loop is held to an independent one.
+  hil::FrameworkConfig fc;
+  fc.kernel.pipelined = true;
+  fc.f_ref_hz = 800.0e3;
+  fc.adc_noise_rms_v = 2.0e-3;  // the derived seed selects the noise
+  fc.jumps = ctrl::PhaseJumpProgramme(deg_to_rad(8.0), 1.0, 0.05e-3);
+
+  Scenario s;
+  s.engine = ScenarioEngine::kSampleAccurate;
+  s.name = "single";
+  s.framework = fc;
+  s.duration_s = 0.25e-3;
+
+  SweepConfig config;
+  config.scenarios = {s};
+  config.threads = 1;
+  const SweepResult r = run_sweep(config);
+
+  fc.noise_seed = scenario_seed(config.seed, 0);
+  hil::Framework fw(fc);
+  fw.run_seconds(s.duration_s);
+  ASSERT_FALSE(fw.phase_trace().values().empty());
+  EXPECT_EQ(r.scenarios[0].trace_time_s, fw.phase_trace().times());
+  EXPECT_EQ(r.scenarios[0].trace_phase_rad, fw.phase_trace().values());
+  EXPECT_EQ(r.scenarios[0].metrics.cgra_runs, fw.cgra_runs());
+  EXPECT_GT(fw.cgra_runs(), 0);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // the disk cache's cold, warm (in-process and from a second process) and
 // corrupt-artifact paths and its key, the no-compiler and
 // failed-unit fallbacks, config threading over the wire, and the
-// differential oracle bisecting over natively compiled engines. Every lane
+// differential oracle bisecting over natively compiled engines, and a
+// batched framework sweep loading one native kernel. Every lane
 // is held to the one-lane cycle-accurate walk (values and states) and the
 // one-lane interpreter (bus write order) — engine_check.hpp. Every suite
 // name starts with "Codegen" so CI can run the subsystem alone with
@@ -32,11 +33,14 @@
 #include "core/units.hpp"
 #include "ctrl/jump.hpp"
 #include "engine_check.hpp"
+#include "hil/framework.hpp"
 #include "hil/turnloop.hpp"
 #include "oracle/oracle.hpp"
 #include "phys/relativity.hpp"
 #include "phys/synchrotron.hpp"
 #include "serve/wire.hpp"
+#include "sweep/grid.hpp"
+#include "sweep/sweep.hpp"
 
 namespace citl::cgra {
 namespace {
@@ -627,6 +631,39 @@ TEST(CodegenOracle, BisectionFindsPoisonedConstantOnNativeEngine) {
   ASSERT_TRUE(rep.diverged);
   EXPECT_GE(rep.first_divergent_turn, 0);
   EXPECT_EQ(rep.first_divergent_turn, rep.bisected_turn);
+}
+
+// --- the sweep engine on the native tier ------------------------------------
+
+TEST(CodegenSweep, BatchedFrameworkSweepLoadsOneNativeKernel) {
+  if (!native_available()) {
+    GTEST_SKIP() << "no host compiler: native tier unavailable";
+  }
+  // A chunk of frameworks runs on the chunk's machine alone: no framework
+  // builds, and natively compiles, a one-lane engine it never runs.
+  hil::FrameworkConfig fc;
+  fc.kernel.pipelined = true;
+  fc.f_ref_hz = 800.0e3;
+  fc.exec_tier = ExecTier::kNative;
+  sweep::SweepConfig config;
+  config.threads = 1;
+  config.batch_lanes = 2;
+  config.scenarios = sweep::ScenarioGridBuilder::sample_accurate(fc)
+                         .gains({-3, -5})
+                         .duration_s(0.05e-3)
+                         .build();
+
+  auto& cache = NativeKernelCache::global();
+  cache.clear_memory();
+  const CodegenStats before = cache.stats();
+  const sweep::SweepResult r = sweep::run_sweep(config);
+  const CodegenStats after = cache.stats();
+  EXPECT_EQ(r.batch_chunks, 1u);
+  EXPECT_GT(r.scenarios[0].metrics.cgra_runs, 0);
+  EXPECT_EQ(after.compiles + after.disk_hits,
+            before.compiles + before.disk_hits + 1);
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.fallbacks, before.fallbacks);
 }
 
 }  // namespace

@@ -109,6 +109,29 @@ TEST_F(ConsoleTest, MonitorAndRecordControl) {
   EXPECT_DOUBLE_EQ(fw_.params().get("record_enable"), 1.0);
 }
 
+TEST_F(ConsoleTest, SupervisedFrameworkKeepsOperatorWrites) {
+  // The supervisor scrubs the registers back to its shadow every
+  // revolution; the console's writes update that shadow, so they stand and
+  // count as no fault.
+  FrameworkConfig fc = console_framework();
+  fc.supervisor.enabled = true;
+  Framework fw(fc);
+  Console console(fw);
+  console.execute("set beam_pulse_scale 0.5");
+  console.execute("monitor beam");
+  console.execute("record off");
+  console.execute("run 0.0005");
+  EXPECT_TRUE(console.last_ok());
+
+  EXPECT_DOUBLE_EQ(fw.params().get("beam_pulse_scale"), 0.5);
+  EXPECT_EQ(fw.params().monitor_source(), MonitorSource::kBeamSignalMirror);
+  EXPECT_DOUBLE_EQ(fw.params().get("record_enable"), 0.0);
+  const SupervisorStats& stats = fw.supervisor()->stats();
+  EXPECT_GT(stats.checked_turns, 0);
+  EXPECT_EQ(stats.faults_detected, 0);
+  EXPECT_EQ(stats.param_restores, 0);
+}
+
 TEST_F(ConsoleTest, ControlLoopToggle) {
   console_.execute("control off");
   EXPECT_FALSE(fw_.control_enabled());
