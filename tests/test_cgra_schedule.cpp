@@ -1,15 +1,25 @@
 // The resource-constrained list scheduler: correctness is established by the
 // independent verifier (precedence + routing + occupancy + II closure) run
 // over many kernels and architectures; quality by comparing against known
-// bounds.
+// bounds; the exact placements and hops by a golden digest of their
+// bitstreams.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <tuple>
 
+#include "api/api.hpp"
+#include "cgra/bitstream.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/lower.hpp"
 #include "cgra/schedule.hpp"
 #include "core/error.hpp"
+#include "core/fnv1a.hpp"
+#include "engine_check.hpp"
+#include "hil/loop_config.hpp"
 
 namespace citl::cgra {
 namespace {
@@ -200,6 +210,59 @@ TEST(Verifier, DetectsOverlapOnOnePe) {
   EXPECT_THROW(verify_schedule(g, arch, s), std::logic_error);
 }
 
+/// The message verify_schedule() rejects `s` with ("" when it accepts it).
+std::string rejection(const Dfg& g, const CgraArch& arch, const Schedule& s) {
+  try {
+    verify_schedule(g, arch, s);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Verifier, NamesEachViolation) {
+  // One corruption per check, each on a fresh copy of a valid schedule of
+  // a kernel with routed operands, loop-carried state and sensor IO.
+  BeamKernelConfig kc;
+  kc.gamma0 = 1.2258;
+  kc.n_bunches = 4;
+  kc.pipelined = true;
+  const Dfg g = compile_to_dfg(beam_kernel_source(kc));
+  const CgraArch arch = grid_5x5();
+  const Schedule valid = schedule_dfg(g, arch);
+  ASSERT_EQ(rejection(g, arch, valid), "");
+  ASSERT_FALSE(valid.hops.empty());
+  const auto expect_named = [&](const Schedule& s, const char* what) {
+    EXPECT_NE(rejection(g, arch, s).find(what), std::string::npos) << what;
+  };
+
+  {  // A load on a PE without a memory port.
+    Schedule s = valid;
+    std::size_t load = 0;
+    while (g.node(static_cast<NodeId>(load)).kind != OpKind::kLoad) ++load;
+    for (int i = 0; i < arch.pe_count(); ++i) {
+      if (!arch.caps(arch.pe_at(i)).mem) s.placement[load].pe = arch.pe_at(i);
+    }
+    expect_named(s, "node placed on incapable PE");
+  }
+  {  // An op one cycle shorter than its latency.
+    Schedule s = valid;
+    --s.placement.back().finish;
+    expect_named(s, "placement latency mismatch");
+  }
+  {  // More forwards through one PE in one cycle than it has route ports.
+    Schedule s = valid;
+    const RouteHop h = s.hops.front();
+    for (unsigned p = 0; p < arch.route_ports_per_pe; ++p) s.hops.push_back(h);
+    expect_named(s, "route port oversubscribed");
+  }
+  {  // An initiation interval too short for the loop-carried state.
+    Schedule s = valid;
+    s.length = 0;
+    expect_named(s, "cross-iteration edge does not close within II");
+  }
+}
+
 // ---- parameterised verification sweep --------------------------------------
 
 using SweepParam = std::tuple<int /*grid*/, int /*bunches*/, bool /*pipe*/>;
@@ -230,6 +293,69 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(3, 4, 5),
                        ::testing::Values(1, 2, 4, 8),
                        ::testing::Bool()));
+
+// ---- golden placements and hops -------------------------------------------
+
+std::string read_example_kernel(const std::string& file) {
+  std::ifstream in(std::string(CITL_EXAMPLE_KERNELS_DIR) + "/" + file);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(Scheduler, GoldenBitstreamDigest) {
+  // The verifier and the length tests accept any valid schedule; this pins
+  // the exact one — every placement, every hop and their order — through
+  // the bitstream each kernel saves. A scheduler change that alters a tie
+  // break moves the digest even when every schedule stays valid.
+  std::uint64_t digest = kFnv1aOffset;
+  std::size_t kernels = 0;
+  const auto add = [&](const std::string& source, const CgraArch& arch,
+                       const std::string& name) {
+    const std::string bits =
+        save_bitstream(compile_kernel(source, arch, name));
+    digest = fnv1a(digest, bits.data(), bits.size());
+    ++kernels;
+  };
+
+  // The three beam kernels at the paper's operating point.
+  const hil::TurnLoopConfig paper =
+      api::to_turnloop_config(api::paper_operating_point());
+  const BeamKernelConfig kc = hil::effective_kernel_config(paper);
+  add(beam_kernel_source(kc), paper.arch, "beam_sampled");
+  add(analytic_beam_kernel_source(kc), paper.arch, "beam_analytic");
+  add(ramp_beam_kernel_source(kc), paper.arch, "beam_ramp");
+  // beam_sampled at every ScheduleSweep combination.
+  for (const int grid : {3, 4, 5}) {
+    for (const int bunches : {1, 2, 4, 8}) {
+      for (const bool pipelined : {false, true}) {
+        BeamKernelConfig sc;
+        sc.n_bunches = bunches;
+        sc.pipelined = pipelined;
+        sc.gamma0 = 1.2258;
+        add(beam_kernel_source(sc), make_grid(grid, grid), "beam_sampled");
+      }
+    }
+  }
+  for (const char* file : {"cavity_iq_servo.c", "lorenz.c", "pll.c"}) {
+    add(read_example_kernel(file), grid_4x4(), file);
+  }
+  // Random kernels on random grids, as the fuzz net draws them.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    test_support::KernelGenerator gen(seed * 0x9e3779b9u + 1);
+    Rng grid_rng(seed);
+    const int rows = 3 + static_cast<int>(grid_rng.next_u64() % 3);
+    const int cols = 3 + static_cast<int>(grid_rng.next_u64() % 3);
+    add(gen.generate(), make_grid(rows, cols), "kernel");
+  }
+
+  ASSERT_EQ(kernels, 230u);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_STREQ(hex, "4c43cd303073a4fc");
+}
 
 }  // namespace
 }  // namespace citl::cgra
