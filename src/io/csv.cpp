@@ -4,29 +4,27 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "core/error.hpp"
+#include "io/number.hpp"
 
 namespace citl::io {
 
 namespace {
 
-/// Writes one numeric cell. Non-finite values get canonical spellings:
-/// stream insertion of NaN/inf is platform text ("nan", "-nan(ind)",
+/// Appends one numeric cell. Non-finite values get canonical spellings
+/// rather than whatever a formatter makes of them ("-nan", "-nan(ind)",
 /// "1.#INF", ...), which would corrupt the robustness columns that can
 /// legitimately carry non-finite metrics next to finite_output_ratio.
-void put_number(std::ostream& os, double v) {
+void append_cell(std::string& out, double v) {
   if (std::isnan(v)) {
-    os << "nan";
+    out += "nan";
   } else if (std::isinf(v)) {
-    os << (v < 0.0 ? "-inf" : "inf");
+    out += v < 0.0 ? "-inf" : "inf";
   } else {
-    os << v;
+    append_number(out, v);
   }
 }
 
@@ -48,35 +46,33 @@ std::string csv_escape(std::string_view field) {
 }
 
 std::string csv_to_string(const std::vector<Column>& columns) {
-  std::ostringstream os;
-  os << std::setprecision(17);
+  std::string out;
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (c != 0) os << ',';
-    os << csv_escape(columns[c].name);
+    if (c != 0) out += ',';
+    out += csv_escape(columns[c].name);
   }
-  os << '\n';
+  out += '\n';
   std::size_t rows = 0;
   for (const auto& c : columns) rows = std::max(rows, c.size());
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      if (c != 0) os << ',';
+      if (c != 0) out += ',';
       const Column& col = columns[c];
       if (col.is_text()) {
-        if (r < col.labels.size()) os << csv_escape(col.labels[r]);
+        if (r < col.labels.size()) out += csv_escape(col.labels[r]);
       } else if (r < col.values.size()) {
-        put_number(os, col.values[r]);
+        append_cell(out, col.values[r]);
       }
     }
-    os << '\n';
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string csv_format_number(double value) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  put_number(os, value);
-  return os.str();
+  std::string out;
+  append_cell(out, value);
+  return out;
 }
 
 double csv_parse_number(std::string_view field) {

@@ -37,9 +37,10 @@ void write_csv(const std::string& path, const std::vector<Column>& columns);
 [[nodiscard]] std::string csv_escape(std::string_view field);
 
 /// Formats one numeric cell exactly as csv_to_string does: full round-trip
-/// precision, and the canonical spellings `nan`, `inf`, `-inf` for
-/// non-finite values (stream insertion of a NaN is platform text like
-/// "-nan(ind)", which csv_parse_number could not reload).
+/// precision with a '.' decimal separator in any process locale
+/// (io/number.hpp), and the canonical spellings `nan`, `inf`, `-inf` for
+/// non-finite values (a formatter's NaN is platform text like "-nan(ind)",
+/// which csv_parse_number could not reload).
 [[nodiscard]] std::string csv_format_number(double value);
 
 /// Parses a numeric cell written by csv_format_number: accepts the canonical

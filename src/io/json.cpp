@@ -5,8 +5,21 @@
 #include <fstream>
 
 #include "core/error.hpp"
+#include "io/number.hpp"
 
 namespace citl::io {
+
+namespace {
+
+void append_json_number(std::string& out, double v) {
+  if (std::isfinite(v)) {
+    append_number(out, v);
+  } else {
+    out += "null";
+  }
+}
+
+}  // namespace
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -32,10 +45,9 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 void JsonWriter::separate() {
@@ -88,7 +100,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 
 JsonWriter& JsonWriter::value(double v) {
   separate();
-  out_ += json_number(v);
+  append_json_number(out_, v);
   return *this;
 }
 

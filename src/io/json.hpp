@@ -1,9 +1,10 @@
 // Minimal JSON emission for sweep reports and machine-readable bench output.
 //
 // Append-only writer with automatic comma placement; numbers are printed
-// with round-trip precision (%.17g) so a metrics file re-emitted from the
-// same doubles is byte-identical — the property the sweep determinism tests
-// pin. No parser: this repository only ever *produces* JSON.
+// with round-trip precision (%.17g, spelled by io/number.hpp in any process
+// locale) so a metrics file re-emitted from the same doubles is
+// byte-identical — the property the sweep determinism tests pin. No parser:
+// this repository only ever *produces* JSON.
 #pragma once
 
 #include <cstdint>
