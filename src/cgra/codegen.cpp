@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -791,6 +792,16 @@ std::string shell_quote(const std::string& s) {
   return q;
 }
 
+/// The library's own sanitizer flags in a CITL_SANITIZE build (empty
+/// otherwise). Kernels are compiled and linked with them, so ASan, UBSan and
+/// TSan instrument native code too; as part of the kernel flags they enter
+/// the content hash, and a sanitized build never loads a plain .so.
+#ifdef CITL_SANITIZE_FLAGS
+constexpr const char* kSanitizeFlags = " " CITL_SANITIZE_FLAGS;
+#else
+constexpr const char* kSanitizeFlags = "";
+#endif
+
 struct CompilerInfo {
   bool available = false;
   std::string cc;       ///< resolved compiler command
@@ -838,7 +849,8 @@ CompilerInfo discover_compiler() {
   // C front end, which parses <immintrin.h> and <math.h> in a fraction of
   // the time C++ mode takes. -shared belongs to the link step alone.
   const std::string base_flags =
-      "-x c -std=c11 -O3 -fPIC -ffp-contract=off -fno-math-errno";
+      std::string("-x c -std=c11 -O3 -fPIC -ffp-contract=off -fno-math-errno") +
+      kSanitizeFlags;
   // -march=native when the compiler accepts it (probing also tells us which
   // SIMD back end the generated kernels will select).
   std::string probe;
@@ -888,6 +900,68 @@ const CompilerInfo& compiler_info() {
 // Content hash, disk cache, loading
 // ---------------------------------------------------------------------------
 
+/// Appends the object bytes of a scalar (or an array of scalars).
+template <typename T>
+void put_bytes(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// Appends a length-prefixed string.
+void put_string(std::string& out, const std::string& s) {
+  put_bytes(out, s.size());
+  out += s;
+}
+
+/// Appends a length-prefixed list of node ids.
+void put_ids(std::string& out, const std::vector<NodeId>& ids) {
+  put_bytes(out, ids.size());
+  out.append(reinterpret_cast<const char*>(ids.data()),
+             ids.size() * sizeof(NodeId));
+}
+
+/// The in-process memo key: the exact bytes of everything
+/// emit_kernel_source() reads — the graph's tables (each node's kind,
+/// operands, constant, stage, name and order deps, plus the states, params
+/// and stores), the kernel name the source's header comment prints, the
+/// precision and the lane count. Constants enter as their bits, so -0.0 and
+/// 0.0 are different keys. One pass over the tables replaces emitting and
+/// hashing ~30 KB of source on every hit; a key covers more than the source
+/// needs (param defaults and state initial values print nothing), which
+/// costs at most a disk hit, never a wrong kernel.
+std::string memo_key(const CompiledKernel& kernel, Precision precision,
+                     std::size_t lanes) {
+  const Dfg& g = kernel.dfg;
+  std::string key;
+  key.reserve(64 + g.size() * 40);
+  put_bytes(key, precision);
+  put_bytes(key, lanes);
+  put_string(key, kernel.name);
+  put_bytes(key, g.size());
+  for (const Node& n : g.nodes()) {
+    put_bytes(key, n.kind);
+    put_bytes(key, n.args);
+    put_bytes(key, n.constant);
+    put_bytes(key, n.stage);
+    put_string(key, n.name);
+    put_ids(key, n.order_deps);
+  }
+  put_bytes(key, g.states().size());
+  for (const StateVar& sv : g.states()) {
+    put_string(key, sv.name);
+    put_bytes(key, sv.node);
+    put_bytes(key, sv.update);
+    put_bytes(key, sv.initial);
+  }
+  put_bytes(key, g.params().size());
+  for (const ParamVar& pv : g.params()) {
+    put_string(key, pv.name);
+    put_bytes(key, pv.node);
+    put_bytes(key, pv.default_value);
+  }
+  put_ids(key, g.stores());
+  return key;
+}
+
 /// 32-hex content key: emitted source + everything that changes the produced
 /// machine code (compiler version, flags, resolved target, ABI tag).
 std::string content_hash(const std::string& source, const CompilerInfo& ci) {
@@ -903,13 +977,21 @@ std::string content_hash(const std::string& source, const CompilerInfo& ci) {
   return digest_hex(all);
 }
 
-/// Atomic file publication: write to a pid-suffixed temp name, rename into
-/// place. Concurrent processes race benignly (same content, last rename
-/// wins).
+/// A temporary-file suffix no other writer uses: the pid keeps processes
+/// sharing the cache dir apart, the counter the threads of one process (two
+/// memo keys can share a content hash, so two threads may build one .so at
+/// once).
+std::string temp_suffix() {
+  static std::atomic<unsigned long> next{0};
+  return ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// Atomic file publication: write to a unique temp name, rename into place.
+/// Concurrent writers race benignly (same content, last rename wins).
 bool write_file_atomic(const fs::path& path, const std::string& content,
                        std::string* error) {
-  const fs::path tmp =
-      path.string() + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const fs::path tmp = path.string() + temp_suffix();
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f) {
@@ -1097,19 +1179,18 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::get(
     o.fallbacks.add();
     return nullptr;
   }
-  const std::string source = emit_kernel_source(kernel, precision, lanes);
-  const std::string hash = content_hash(source, ci);
+  std::string key = memo_key(kernel, precision, lanes);
 
   std::shared_ptr<Entry> entry;
   bool creator = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(hash);
+    auto it = memo_.find(key);
     if (it != memo_.end()) {
       entry = it->second;
     } else {
       entry = std::make_shared<Entry>();
-      memo_.emplace(hash, entry);
+      memo_.emplace(std::move(key), entry);
       creator = true;
     }
   }
@@ -1127,6 +1208,10 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::get(
     return k;
   }
 
+  // A miss: only now emit the source and derive its content hash, the
+  // disk-cache key.
+  const std::string source = emit_kernel_source(kernel, precision, lanes);
+  const std::string hash = content_hash(source, ci);
   bool disk_hit = false;
   bool repaired = false;
   double compile_ms = 0.0;
@@ -1216,10 +1301,9 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
   if (!write_file_atomic(src, full, error)) return nullptr;
 
   // Both units compile at once from the one source, then link into the .so.
-  // Temporaries carry the pid, like write_file_atomic's, so processes
+  // Temporaries carry a unique suffix, like write_file_atomic's, so builds
   // sharing the cache dir never collide; they are removed on every path.
-  const std::string tmp =
-      ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const std::string tmp = temp_suffix();
   const fs::path so_tmp = so.string() + tmp;
   const Unit units[] = {kDenseUnit, kMaskedUnit};
   fs::path objs[2];
@@ -1242,7 +1326,7 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
   }
   if (failure.empty()) {
     std::string ld_out;
-    if (run_command(shell_quote(ci.cc) + " -shared -o " +
+    if (run_command(shell_quote(ci.cc) + " -shared" + kSanitizeFlags + " -o " +
                         shell_quote(so_tmp.string()) + " " +
                         shell_quote(objs[0].string()) + " " +
                         shell_quote(objs[1].string()) + " -lm",

@@ -11,13 +11,18 @@
 //
 // NativeKernelCache::get() turns that source into a callable: it compiles
 // the source as two units at once (the dense and the masked entry point,
-// each under its own guard) and links both objects into one .so. It is
-// keyed by a content hash (emitted source + compiler version + flags + the
-// compiler's resolved target macros + ABI tag), memoised in-process, and
-// persisted under a disk cache directory ($CITL_KERNEL_CACHE_DIR, default
+// each under its own guard) and links both objects into one .so. It has two
+// keys. The in-process memo is keyed by what the emitter reads (the graph's
+// tables, the kernel name, the precision and the lane count), so a hit
+// emits nothing. Only a miss emits the source and derives the disk key, a
+// content hash (emitted source + compiler version + flags + the compiler's
+// resolved target macros + ABI tag), under which the kernel persists in a
+// disk cache directory ($CITL_KERNEL_CACHE_DIR, default
 // /tmp/citl-kernel-cache-<uid>) holding <hash>.c / <hash>.so / <hash>.json
 // (a compilation report). A corrupt or mismatched .so is deleted and
-// recompiled. When no host compiler can be found (or
+// recompiled. In a CITL_SANITIZE build the kernels are compiled and linked
+// with the library's own sanitizer flags, which the hash and the report
+// carry like every other flag. When no host compiler can be found (or
 // $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the engine falls back
 // to the interpreter — nothing in the pipeline requires a toolchain at run
 // time.
@@ -128,8 +133,10 @@ class NativeKernelCache {
  public:
   /// Returns the loaded kernel, or nullptr when the native tier is
   /// unavailable (no compiler, disabled, or the compile failed) — callers
-  /// fall back to the interpreter. Concurrent gets of the same key share one
-  /// compilation; failures are memoised too (no retry storms).
+  /// fall back to the interpreter. Kernels with the same graph tables, name,
+  /// precision and lanes share one memo entry, however they were compiled;
+  /// concurrent gets of one entry share one compilation, and failures are
+  /// memoised too (no retry storms).
   std::shared_ptr<const NativeKernel> get(const CompiledKernel& kernel,
                                           Precision precision,
                                           std::size_t lanes);
@@ -160,6 +167,7 @@ class NativeKernelCache {
       bool* disk_hit, bool* repaired, double* compile_ms, std::string* error);
 
   mutable std::mutex mu_;
+  /// Keyed by the bytes of the emitter's inputs (memo_key in codegen.cpp).
   std::unordered_map<std::string, std::shared_ptr<Entry>> memo_;
   CodegenStats stats_;
   std::string last_error_;
