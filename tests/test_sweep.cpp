@@ -149,6 +149,35 @@ TEST(Sweep, CompilesEachDistinctKernelOnce) {
   EXPECT_EQ(cache.compilations(), 2u);
 }
 
+TEST(Sweep, UncompilableKernelThrowsConfigError) {
+  // Two distinct kernels, one on an arch without a divider/rooter PE: the
+  // beam kernel's sqrt cannot be placed, so the sweep throws the compiler's
+  // ConfigError. The pool survives the failure and runs the next sweep.
+  const hil::TurnLoopConfig base =
+      api::to_turnloop_config(api::paper_operating_point());
+  SweepConfig config;
+  config.scenarios = ScenarioGridBuilder::turn_level(base)
+                         .gains({-3.0, -5.0})
+                         .jump_timing(1.0, 0.1e-3)
+                         .duration_s(0.5e-3)
+                         .build();
+  Scenario no_sqrt = config.scenarios.front();
+  no_sqrt.name = "no_sqrt";
+  for (auto& pe : no_sqrt.turnloop.arch.pes) pe.divsqrt = false;
+  config.scenarios.push_back(no_sqrt);
+  config.collect_traces = false;
+
+  ThreadPool pool(2);
+  EXPECT_THROW(static_cast<void>(run_sweep(config, &pool)), ConfigError);
+
+  config.scenarios.pop_back();
+  const SweepResult r = run_sweep(config, &pool);
+  EXPECT_EQ(r.distinct_kernels, 1u);
+  EXPECT_EQ(r.kernel_compilations, 1u);
+  ASSERT_EQ(r.scenarios.size(), 2u);
+  for (const auto& s : r.scenarios) EXPECT_GT(s.metrics.cgra_runs, 0) << s.name;
+}
+
 TEST(KernelCache, ConcurrentLookupsCompileOnce) {
   const hil::FrameworkConfig fc = paper_config();
   const cgra::BeamKernelConfig kc = hil::effective_kernel_config(fc);
