@@ -244,6 +244,17 @@ class ListScheduler {
     for (int idx = 0; idx < arch_.pe_count(); ++idx) {
       if (!arch_.pes[static_cast<std::size_t>(idx)].supports(cls)) continue;
       const PeId pe = arch_.pe_at(idx);
+      // No operand reaches this PE before its producer finishes plus one
+      // cycle per hop (a delivery is never earlier), so a PE whose bound is
+      // past the best start can neither beat nor tie it.
+      unsigned bound = 0;
+      for (NodeId p : preds) {
+        const Placement& pp = placement_[static_cast<std::size_t>(p)];
+        bound = std::max(
+            bound,
+            pp.finish + static_cast<unsigned>(CgraArch::distance(pp.pe, pe)));
+      }
+      if (bound > best_start) continue;
 
       cand_hops_.clear();
       unsigned lb = 0;

@@ -50,12 +50,24 @@ struct DecodedAddress {
   double offset;
 };
 
+/// The region is floor(addr / kRegionSize), clamped at 0, and found without
+/// a libm floor call (the bus decodes every computed address): a quotient
+/// below 1 (negative, -0.0 and NaN included) gives 0, truncation is floor on
+/// [1, 2^52), and every double from 2^52 up is integral. The offset has the
+/// same bits as with std::floor for every finite address. A region index
+/// past 2^32 - 1 decodes to UINT32_MAX, which names no region.
 [[nodiscard]] inline DecodedAddress decode_address(double addr) noexcept {
-  double r = std::floor(addr / kRegionSize);
-  if (r < 0.0) r = 0.0;
-  return DecodedAddress{
-      static_cast<SensorRegion>(static_cast<std::uint32_t>(r)),
-      addr - r * kRegionSize - kRegionBias};
+  const double q = addr / kRegionSize;
+  double r = 0.0;
+  if (q >= 0x1p52) {
+    r = q;
+  } else if (q >= 1.0) {
+    r = static_cast<double>(static_cast<std::int64_t>(q));
+  }
+  const std::uint32_t region =
+      r < 0x1p32 ? static_cast<std::uint32_t>(r) : UINT32_MAX;
+  return DecodedAddress{static_cast<SensorRegion>(region),
+                        addr - r * kRegionSize - kRegionBias};
 }
 
 /// The bus the CGRA machine drives. The HIL framework implements it backed

@@ -7,6 +7,20 @@
 
 namespace citl {
 
+namespace {
+
+/// Polls `done` until it holds or ThreadPool::kSpin has passed, yielding the
+/// CPU between polls.
+template <class Done>
+void spin_until(const Done& done) {
+  const auto until = std::chrono::steady_clock::now() + ThreadPool::kSpin;
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 1;
@@ -20,7 +34,7 @@ ThreadPool::ThreadPool(unsigned threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_start_.notify_all();
   for (auto& w : workers_) w.join();
@@ -33,23 +47,27 @@ ThreadPool& ThreadPool::global() {
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   std::uint64_t seen_generation = 0;
+  const auto woken = [&] {
+    return stop_.load() || generation_.load() != seen_generation;
+  };
   for (;;) {
+    spin_until(woken);
     Job job;
     {
       std::unique_lock lock(mutex_);
-      cv_start_.wait(lock, [&] {
-        return stop_ || generation_ != seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = generation_;
+      cv_start_.wait(lock, woken);
+      if (stop_.load()) return;
+      seen_generation = generation_.load();
       job = job_;
     }
     if (worker_index + 1 < job.chunks) {
       run_chunk(job, worker_index + 1);  // chunk 0 belongs to the caller
     }
-    {
+    if (pending_.fetch_sub(1) == 1) {
+      // Under the mutex, so a caller between its predicate check and its
+      // wait cannot miss the notification.
       std::lock_guard lock(mutex_);
-      if (--pending_ == 0) cv_done_.notify_all();
+      cv_done_.notify_all();
     }
   }
 }
@@ -89,17 +107,17 @@ void ThreadPool::parallel_for_chunks(
   {
     std::lock_guard lock(mutex_);
     job_ = Job{&body, begin, end, chunks};
-    pending_ = workers_.size();
+    pending_.store(workers_.size());
     first_error_ = nullptr;
-    ++generation_;
+    generation_.fetch_add(1);
   }
   cv_start_.notify_all();
   run_chunk(job_, 0);
-  {
-    std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    if (first_error_) std::rethrow_exception(first_error_);
-  }
+  const auto finished = [&] { return pending_.load() == 0; };
+  spin_until(finished);
+  std::unique_lock lock(mutex_);
+  cv_done_.wait(lock, finished);
+  if (first_error_) std::rethrow_exception(first_error_);
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

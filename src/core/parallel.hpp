@@ -6,8 +6,12 @@
 // static scheduling is both fastest and deterministic.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -27,6 +31,14 @@ namespace citl {
 /// parallel_for may be called from several threads at once — submissions are
 /// serialised, one job at a time. It must NOT be called from inside a body
 /// running on the same pool (the nested submission would wait on itself).
+///
+/// Spin, then park: after a job a worker polls for the next one for kSpin,
+/// yielding the CPU between polls, before it sleeps on a condition variable;
+/// the caller polls for the last chunk the same way. A job submitted soon
+/// after the previous one so finds its workers running on their own CPUs. A
+/// woken worker could instead be placed on the submitter's CPU and run its
+/// chunk only after the submitter's own. The price is up to kSpin of CPU
+/// time per worker after each job.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -54,6 +66,10 @@ class ThreadPool {
   /// Returns the process-wide default pool (lazily constructed).
   static ThreadPool& global();
 
+  /// How long an idle worker, or a caller waiting for the last chunk, polls
+  /// before it parks.
+  static constexpr std::chrono::microseconds kSpin{1000};
+
  private:
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
@@ -71,13 +87,16 @@ class ThreadPool {
   /// this, two simultaneous callers overwrite each other's job and pending
   /// count, and the loser waits on cv_done_ forever.
   std::mutex submit_mutex_;
+  /// Guards job_ and first_error_. generation_ and stop_ change only under
+  /// it (so a parked worker's predicate sees them); they are atomic so a
+  /// spinning worker may poll them without it, as the caller polls pending_.
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   Job job_;
-  std::uint64_t generation_ = 0;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<std::size_t> pending_{0};
+  std::atomic<bool> stop_{false};
   std::exception_ptr first_error_;
 };
 

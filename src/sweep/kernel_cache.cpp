@@ -78,8 +78,13 @@ std::string kernel_cache_key(const cgra::BeamKernelConfig& config,
 std::shared_ptr<const cgra::CompiledKernel> KernelCache::get(
     const cgra::BeamKernelConfig& config, const cgra::CgraArch& arch,
     KernelKind kind) {
+  return get(kernel_cache_key(config, arch, kind), config, arch, kind);
+}
+
+std::shared_ptr<const cgra::CompiledKernel> KernelCache::get(
+    const std::string& key, const cgra::BeamKernelConfig& config,
+    const cgra::CgraArch& arch, KernelKind kind) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  const std::string key = kernel_cache_key(config, arch, kind);
 
   std::promise<std::shared_ptr<const cgra::CompiledKernel>> promise;
   Entry entry;

@@ -48,6 +48,11 @@ class KernelCache {
   [[nodiscard]] std::shared_ptr<const cgra::CompiledKernel> get(
       const cgra::BeamKernelConfig& config, const cgra::CgraArch& arch,
       KernelKind kind = KernelKind::kSampled);
+  /// get() for a caller that already built `key`, which must equal
+  /// kernel_cache_key(config, arch, kind).
+  [[nodiscard]] std::shared_ptr<const cgra::CompiledKernel> get(
+      const std::string& key, const cgra::BeamKernelConfig& config,
+      const cgra::CgraArch& arch, KernelKind kind);
 
   /// Number of compilations actually performed (== distinct keys resolved).
   [[nodiscard]] std::size_t compilations() const noexcept {

@@ -137,8 +137,9 @@ struct SweepResult {
 /// Runs every scenario and extracts its metrics. Supplying `pool` reuses an
 /// existing ThreadPool (the pool's thread count then decides concurrency);
 /// otherwise a private pool with `config.threads` workers is created.
-/// Scenario failures (e.g. an unschedulable kernel) propagate as exceptions
-/// after the remaining scenarios finished.
+/// Every distinct kernel is compiled before any chunk runs, so a compile
+/// failure (e.g. an unschedulable kernel) throws before any scenario runs.
+/// A failure inside a chunk still propagates after the other chunks finish.
 [[nodiscard]] SweepResult run_sweep(const SweepConfig& config,
                                     ThreadPool* pool = nullptr);
 

@@ -5,7 +5,7 @@
 // compiled onto a random grid and executed. Properties checked:
 //   * the compiler accepts the program (it is well-formed by construction),
 //   * the independent schedule verifier passes (done inside schedule_dfg),
-//   * on every lane count {1, 3, 8}, tier {interpreter, native} and
+//   * on every lane count {1, 2, 3, 8}, tier {interpreter, native} and
 //     precision {f32, f64}, with a masked step every fifth iteration, every
 //     lane equals its own one-lane cycle-accurate walk bit for bit — node
 //     values, states, pipeline registers and sensor writes,
@@ -23,7 +23,7 @@ class CgraFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CgraFuzz, FunctionalEqualsCycleAccurateAndStaysFinite) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const std::size_t lanes : {1, 3, 8}) {
+  for (const std::size_t lanes : {1, 2, 3, 8}) {
     for (const ExecTier tier : {ExecTier::kInterpreter, ExecTier::kNative}) {
       for (const Precision p : {Precision::kFloat32, Precision::kFloat64}) {
         test_support::check_random_kernel(seed, lanes, tier, p);

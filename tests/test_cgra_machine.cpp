@@ -2,7 +2,10 @@
 // state and parameter handling, sensor bus interaction, float32 semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -14,6 +17,44 @@
 
 namespace citl::cgra {
 namespace {
+
+TEST(Sensor, DecodeAddressMatchesFloorDefinition) {
+  // decode_address finds the region without std::floor; against the floor
+  // definition its offset has the same bits for every finite address, and
+  // its region is the same wherever the floor's index fits 32 bits.
+  std::vector<double> addrs{0.0, -0.0, -0.5, -1.0, -65536.0, -65536.5,
+                            -1e-310, -DBL_MIN, -1e300, -DBL_MAX};
+  for (std::uint32_t r = 0; r <= 6; ++r) {
+    const double boundary = static_cast<double>(r) * kRegionSize;
+    const double base = region_base(static_cast<SensorRegion>(r));
+    for (const double x : {boundary, base}) {
+      for (const double y : {x, std::nextafter(x, -DBL_MAX),
+                             std::nextafter(x, DBL_MAX), x - 0.5, x + 0.5}) {
+        addrs.push_back(y);
+      }
+    }
+  }
+  for (const double big : {0x1p52, 0x1p52 + 1.0, 0x1p53, 0x1p68 - 0x1p16,
+                           0x1p68, 0x1p68 + 0x1p16, 0x1p80, 1e300, DBL_MAX}) {
+    addrs.push_back(big);
+    addrs.push_back(std::nextafter(big, -DBL_MAX));
+  }
+  for (const double addr : addrs) {
+    double r = std::floor(addr / kRegionSize);
+    if (r < 0.0) r = 0.0;
+    const double offset = addr - r * kRegionSize - kRegionBias;
+    const DecodedAddress got = decode_address(addr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.offset),
+              std::bit_cast<std::uint64_t>(offset))
+        << "addr " << addr;
+    const auto region = static_cast<std::uint32_t>(got.region);
+    if (r < 0x1p32) {
+      EXPECT_EQ(region, static_cast<std::uint32_t>(r)) << "addr " << addr;
+    } else {
+      EXPECT_EQ(region, UINT32_MAX) << "addr " << addr;
+    }
+  }
+}
 
 /// Scripted bus: reads return region-dependent values; writes recorded.
 class ScriptedBus final : public SensorBus {

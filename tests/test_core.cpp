@@ -243,6 +243,25 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
   }
 }
 
+TEST(ThreadPool, BackToBackJobsThenImmediateDestroy) {
+  // Jobs submitted while the workers still spin from the previous one, then
+  // pools destroyed right after their one job, while their workers spin.
+  ThreadPool pool(3);
+  for (int job = 0; job < 10'000; ++job) {
+    std::atomic<long> sum{0};
+    pool.parallel_for(0, 6, [&](std::size_t i) {
+      sum.fetch_add(static_cast<long>(i) + job);
+    });
+    ASSERT_EQ(sum.load(), 15 + 6L * job) << "job " << job;
+  }
+  for (int p = 0; p < 100; ++p) {
+    ThreadPool short_lived(2);
+    std::atomic<int> ran{0};
+    short_lived.parallel_for(0, 2, [&](std::size_t) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 2) << "pool " << p;
+  }
+}
+
 TEST(ThreadPool, GlobalPoolSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);

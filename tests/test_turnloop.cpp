@@ -1,7 +1,9 @@
 // The turn-granular closed loop (compiled kernel + analytic bus + control).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/units.hpp"
@@ -23,6 +25,31 @@ TurnLoopConfig paper_loop(bool pipelined = true) {
   tl.gap_voltage_v = phys::amplitude_for_synchrotron_frequency(
       phys::ion_n14_7plus(), ring, gamma, 1280.0);
   return tl;
+}
+
+TEST(TurnLoop, ReferenceReadsMatchClosedForm) {
+  // The analytic bus keeps the reference samples it computed at integral
+  // offsets. A first read, a repeated one and one after the table slot was
+  // reused must all carry the closed form's bits.
+  const TurnLoopConfig tl = paper_loop();
+  TurnLoop loop(tl);
+  const double fs = effective_kernel_config(tl).sample_rate_hz;
+  std::vector<double> offsets;
+  for (int k = -80; k <= 80; ++k) offsets.push_back(k);
+  for (const double x : {0.5, -1.25, 1e6, -1e6, -0.0}) offsets.push_back(x);
+  cgra::SensorBus& bus = loop.cgra_bus();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const double k : offsets) {
+      const double expected =
+          tl.ref_amplitude_v * std::sin(kTwoPi * tl.f_ref_hz * (k / fs));
+      for (int read = 0; read < 2; ++read) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      bus.read(cgra::SensorRegion::kRefBuf, k)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "offset " << k << ", pass " << pass << ", read " << read;
+      }
+    }
+  }
 }
 
 TEST(TurnLoop, QuiescentWithoutStimulus) {
