@@ -17,12 +17,16 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "core/parallel.hpp"
 #include "core/units.hpp"
+#include "fault/fault.hpp"
 #include "hil/framework.hpp"
 #include "hil/recorder.hpp"
+#include "hil/turnloop.hpp"
 #include "obs/deadline.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "phys/relativity.hpp"
 #include "phys/synchrotron.hpp"
@@ -400,6 +404,36 @@ TEST(ObsFramework, DeadlineProfilerMatchesLegacyCounters) {
   const DeadlineStats s = fw.deadline().stats();
   EXPECT_GT(s.headroom_max, -1.0);
   EXPECT_LE(s.headroom_min, s.headroom_max);
+}
+
+TEST(ObsTurnLoop, DeadlineMissesMatchViolationsWhenBudgetIsNotFinite) {
+  // An unsupervised reference dropout makes the measured period, and with
+  // it the turn's budget, NaN for 50 turns. The profiler counts each such
+  // turn as a miss; the loop's violation count and its flight-recorder
+  // events must be that same count.
+  hil::TurnLoopConfig tl =
+      api::to_turnloop_config(api::paper_operating_point());
+  fault::FaultSpec dropout;
+  dropout.kind = fault::FaultKind::kRefDropout;
+  dropout.start_tick = 100;
+  dropout.duration = 50;
+  tl.faults.entries.push_back(dropout);
+  FlightRecorder& rec = FlightRecorder::global();
+  const bool rec_was_enabled = rec.enabled();
+  rec.clear();
+  rec.set_enabled(true);
+  hil::TurnLoop loop(tl);
+  loop.run(400);
+  rec.set_enabled(rec_was_enabled);
+
+  EXPECT_EQ(loop.deadline().misses(), 50);
+  EXPECT_EQ(loop.deadline().stats().headroom_min, -1.0);
+  EXPECT_EQ(loop.deadline().misses(), loop.realtime_violations());
+  std::int64_t miss_events = 0;
+  for (const FlightEvent& e : rec.snapshot()) {
+    if (e.kind == EventKind::kDeadlineMiss) ++miss_events;
+  }
+  EXPECT_EQ(miss_events, loop.deadline().misses());
 }
 
 // ---------------------------------------------------------------------------
