@@ -205,9 +205,11 @@ void Framework::account_cgra_run(unsigned exec_cycles, double budget_cycles,
   ++cgra_runs_;
   obs_revolutions_->add();
   // Hard real-time check (§IV-B): the schedule must complete within one
-  // reference period at the CGRA clock. The boolean violation counter and
-  // the profiler share one comparison so they can never disagree.
-  deadline_.record(static_cast<double>(exec_cycles), budget_cycles, when_s);
+  // reference period at the CGRA clock. The profiler's verdict is the one
+  // comparison: its miss count is the violation count, so they can never
+  // disagree.
+  const bool missed = deadline_.record(static_cast<double>(exec_cycles),
+                                       budget_cycles, when_s);
   // Mirror of TurnLoop::finish_turn: scrape endpoints read the registry, so
   // the occupancy distribution has to live there as well as in the profiler.
   static obs::Histogram& obs_occupancy = obs::Registry::global().histogram(
@@ -216,8 +218,7 @@ void Framework::account_cgra_run(unsigned exec_cycles, double budget_cycles,
   if (budget_cycles > 0.0) {
     obs_occupancy.observe(static_cast<double>(exec_cycles) / budget_cycles);
   }
-  if (static_cast<double>(exec_cycles) > budget_cycles) {
-    ++realtime_violations_;
+  if (missed) {
     obs_deadline_misses_->add();
     obs::FlightRecorder::global().record(
         obs::EventKind::kDeadlineMiss, cgra_runs_ - 1, when_s,

@@ -152,9 +152,10 @@ class Framework {
   [[nodiscard]] bool initialised() const noexcept { return initialised_; }
   [[nodiscard]] std::int64_t cgra_runs() const noexcept { return cgra_runs_; }
   /// Revolutions in which the CGRA schedule would not have finished within
-  /// one reference period at the configured CGRA clock (real-time misses).
+  /// one reference period at the configured CGRA clock (real-time misses):
+  /// the deadline profiler's own count.
   [[nodiscard]] std::int64_t realtime_violations() const noexcept {
-    return realtime_violations_;
+    return deadline_.misses();
   }
   /// Per-revolution deadline accounting: schedule cycles vs period budget,
   /// headroom distribution and the worst misses (§IV-B made measurable).
@@ -255,7 +256,6 @@ class Framework {
   double correction_hz_ = 0.0;
   double last_phase_ = 0.0;
   std::int64_t cgra_runs_ = 0;
-  std::int64_t realtime_violations_ = 0;
   obs::DeadlineProfiler deadline_;
 
   // Deferred-CGRA bookkeeping: budget and timestamp are captured at the

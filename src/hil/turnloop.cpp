@@ -218,7 +218,6 @@ TurnLoop::Checkpoint TurnLoop::checkpoint() const {
   cp.correction_hz = correction_hz_;
   cp.last_phase = last_phase_;
   cp.budget_cycles = budget_cycles_;
-  cp.realtime_violations = realtime_violations_;
   cp.noise = noise_;
   cp.deadline = deadline_;
   cp.states.resize(model_->state_count());
@@ -244,7 +243,6 @@ void TurnLoop::restore(const Checkpoint& cp) {
   correction_hz_ = cp.correction_hz;
   last_phase_ = cp.last_phase;
   budget_cycles_ = cp.budget_cycles;
-  realtime_violations_ = cp.realtime_violations;
   controller_ = cp.controller;
   decimator_ = cp.decimator;
   noise_ = cp.noise;
@@ -291,7 +289,10 @@ TurnRecord TurnLoop::finish_turn(unsigned exec_cycles) {
   turn_open_ = false;
 
   if (injector_ != nullptr) exec_cycles += injector_->stall_cycles();
-  deadline_.record(static_cast<double>(exec_cycles), budget_cycles_, time_s_);
+  // One comparison decides a miss: the profiler's count is the loop's
+  // violation count, and every miss it counts is a recorder event.
+  const bool missed = deadline_.record(static_cast<double>(exec_cycles),
+                                       budget_cycles_, time_s_);
   // Registry-side occupancy histogram: the DeadlineProfiler keeps the exact
   // per-loop distribution, but scrape endpoints render the global registry,
   // so mirror exec/budget there too (no-op while the registry is disabled).
@@ -302,8 +303,7 @@ TurnRecord TurnLoop::finish_turn(unsigned exec_cycles) {
     obs_occupancy.observe(static_cast<double>(exec_cycles) / budget_cycles_);
   }
   DeadlinePolicy action = DeadlinePolicy::kObserve;
-  if (static_cast<double>(exec_cycles) > budget_cycles_) {
-    ++realtime_violations_;
+  if (missed) {
     obs::FlightRecorder::global().record(
         obs::EventKind::kDeadlineMiss, turn_, time_s_,
         static_cast<double>(exec_cycles), budget_cycles_);

@@ -137,8 +137,9 @@ class TurnLoop {
   [[nodiscard]] const obs::DeadlineProfiler& deadline() const noexcept {
     return deadline_;
   }
+  /// Turns that missed their deadline: the profiler's own count.
   [[nodiscard]] std::int64_t realtime_violations() const noexcept {
-    return realtime_violations_;
+    return deadline_.misses();
   }
 
   /// Opens/closes the phase control loop at runtime.
@@ -158,7 +159,6 @@ class TurnLoop {
     double correction_hz = 0.0;
     double last_phase = 0.0;
     double budget_cycles = 0.0;
-    std::int64_t realtime_violations = 0;
     ctrl::BeamPhaseController controller;
     ctrl::PhaseDecimator decimator;
     Rng noise;
@@ -222,7 +222,6 @@ class TurnLoop {
   double correction_hz_ = 0.0;
   double last_phase_ = 0.0;       ///< last good measured phase (output guard)
   double budget_cycles_ = 0.0;    ///< this turn's deadline budget
-  std::int64_t realtime_violations_ = 0;
   obs::DeadlineProfiler deadline_;
 };
 

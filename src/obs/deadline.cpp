@@ -5,7 +5,7 @@
 
 namespace citl::obs {
 
-void DeadlineProfiler::record(double exec_cycles, double budget_cycles,
+bool DeadlineProfiler::record(double exec_cycles, double budget_cycles,
                               double time_s) {
   // A non-finite budget or execution count (a poisoned period measurement,
   // e.g. a reference dropout without a supervising watchdog) is a miss with
@@ -36,7 +36,8 @@ void DeadlineProfiler::record(double exec_cycles, double budget_cycles,
   if (occupancy < 0.0) idx = 0;
   ++buckets_[idx];
 
-  if (!valid_budget || exec_cycles > budget_cycles) {
+  const bool missed = !valid_budget || exec_cycles > budget_cycles;
+  if (missed) {
     ++misses_;
     const DeadlineMiss miss{revolutions_ - 1, time_s, exec_cycles,
                             budget_cycles};
@@ -53,6 +54,7 @@ void DeadlineProfiler::record(double exec_cycles, double budget_cycles,
       if (worst_.size() > kWorstRecords) worst_.pop_back();
     }
   }
+  return missed;
 }
 
 double DeadlineProfiler::occupancy_quantile(double q) const {

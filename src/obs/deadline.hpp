@@ -61,9 +61,10 @@ class DeadlineProfiler {
   /// revolution).
   static constexpr std::size_t kWorstRecords = 8;
 
-  /// Records one revolution. `budget_cycles <= 0` counts as a miss with
-  /// overflow occupancy.
-  void record(double exec_cycles, double budget_cycles, double time_s);
+  /// Records one revolution and returns whether it missed its deadline.
+  /// `budget_cycles <= 0` and a non-finite budget or execution count are
+  /// misses with overflow occupancy.
+  bool record(double exec_cycles, double budget_cycles, double time_s);
 
   [[nodiscard]] std::int64_t revolutions() const noexcept {
     return revolutions_;
