@@ -103,10 +103,13 @@ void BatchedCgraMachine::init(ExecTier tier) {
   obs_lanes_active_ = &reg.gauge("cgra.batch.lanes_active");
   obs_iterations_ = &reg.counter("cgra.iterations");
   obs_cycles_ = &reg.counter("cgra.schedule_cycles");
-  // Per-tier iteration series: which back end the functional path ran.
-  obs_tier_iters_ = &reg.counter(tier_ == ExecTier::kNative
-                                     ? "cgra.exec.iterations.native"
-                                     : "cgra.exec.iterations.interpreter");
+  // Per-tier pass series: the back end that actually ran each functional
+  // pass. Full-width passes run on the resolved tier, lane-masked ones on
+  // the interpreter.
+  obs_interp_iters_ = &reg.counter("cgra.exec.iterations.interpreter");
+  obs_tier_iters_ = tier_ == ExecTier::kNative
+                        ? &reg.counter("cgra.exec.iterations.native")
+                        : obs_interp_iters_;
   reset();
 }
 
@@ -494,7 +497,7 @@ unsigned BatchedCgraMachine::run_iteration_all_lanes() {
       ctx.bus_write = &lane_bus_write;
       ctx.bus_read_at = &lane_bus_read_at;
       ctx.bus_write_at = &lane_bus_write_at;
-      native_->run_dense(ctx);
+      native_->run(ctx);
       commit_bookkeeping(IdentityMap{}, lanes_);
       break;
     }
@@ -514,31 +517,14 @@ unsigned BatchedCgraMachine::run_iteration_lanes(const std::uint32_t* lane_ids,
   if (n_active == 0) return kernel_->schedule.length;
   if (n_active == lanes_) return run_iteration_all_lanes();
   for (std::size_t k = 0; k < n_active; ++k) check_lane(lane_ids[k]);
-  obs_tier_iters_->add();
-  switch (tier_) {
-    case ExecTier::kNative: {
-      NativeCtx ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.bus = bus_;
-      ctx.bus_read = &lane_bus_read;
-      ctx.bus_write = &lane_bus_write;
-      ctx.bus_read_at = &lane_bus_read_at;
-      ctx.bus_write_at = &lane_bus_write_at;
-      native_->run_masked(ctx, lane_ids,
-                          static_cast<std::uint32_t>(n_active));
-      commit_bookkeeping(IndexMap{lane_ids}, n_active);
-      break;
-    }
-    default:
-      if (precision_ == Precision::kFloat32) {
-        run_pass<float>(IndexMap{lane_ids}, n_active);
-      } else {
-        run_pass<double>(IndexMap{lane_ids}, n_active);
-      }
-      break;
+  // Whatever the tier, a lane-masked pass runs on the interpreter. Both
+  // tiers read and latch the same banks, so they mix at any iteration
+  // boundary.
+  obs_interp_iters_->add();
+  if (precision_ == Precision::kFloat32) {
+    run_pass<float>(IndexMap{lane_ids}, n_active);
+  } else {
+    run_pass<double>(IndexMap{lane_ids}, n_active);
   }
   return kernel_->schedule.length;
 }

@@ -13,8 +13,10 @@
 //
 // Two execution modes with identical results (a tested invariant):
 //   * functional     — evaluates the dataflow graph in topological order
-//                      through the selected tier (exec_tier.hpp); used for
-//                      long closed-loop runs and every batched lane,
+//                      through the selected tier (exec_tier.hpp) on a
+//                      full-width pass, and on the interpreter on a
+//                      lane-masked one; used for long closed-loop runs and
+//                      every batched lane,
 //   * cycle-accurate — one lane only: walks the schedule cycle by cycle,
 //                      issuing each operation on its PE at its context slot
 //                      and committing results at op latency; IO hits the bus
@@ -98,6 +100,8 @@ class BatchedCgraMachine final : public BeamModel {
     return *kernel_;
   }
   [[nodiscard]] std::size_t lanes() const noexcept override { return lanes_; }
+  /// The tier full-width passes run on (resolved: never kAuto). Lane-masked
+  /// passes run on the interpreter whatever it is.
   [[nodiscard]] ExecTier exec_tier() const noexcept override { return tier_; }
 
   void reset() override;
@@ -121,7 +125,9 @@ class BatchedCgraMachine final : public BeamModel {
   /// One functional iteration on a subset of lanes (ascending, no
   /// duplicates); inactive lanes keep their values, states and pipeline
   /// registers untouched. Used when scenarios of one batch end at different
-  /// times. Bit-identical to running those lanes full-width.
+  /// times. All lanes run the full-width pass on the engine's tier; a
+  /// proper subset runs on the interpreter. Bit-identical to running those
+  /// lanes full-width.
   unsigned run_iteration_lanes(const std::uint32_t* lane_ids,
                                std::size_t n_active);
 
@@ -199,7 +205,8 @@ class BatchedCgraMachine final : public BeamModel {
   obs::Gauge* obs_lanes_active_ = nullptr;
   obs::Counter* obs_iterations_ = nullptr;
   obs::Counter* obs_cycles_ = nullptr;
-  obs::Counter* obs_tier_iters_ = nullptr;
+  obs::Counter* obs_tier_iters_ = nullptr;    ///< full-width passes
+  obs::Counter* obs_interp_iters_ = nullptr;  ///< lane-masked passes
   ExecTier tier_ = ExecTier::kInterpreter;    ///< resolved (never kAuto)
   std::shared_ptr<const NativeKernel> native_;
 };

@@ -56,16 +56,6 @@ bool is_io_node(OpKind k) {
   return k == OpKind::kLoad || k == OpKind::kStore;
 }
 
-/// The two units of one generated source: each entry point sits under its
-/// own guard, and load_or_compile() builds one object per unit, in
-/// parallel, from the same file.
-struct Unit {
-  const char* name;
-  const char* define;
-};
-constexpr Unit kDenseUnit{"dense", "CITL_UNIT_DENSE"};
-constexpr Unit kMaskedUnit{"masked", "CITL_UNIT_MASKED"};
-
 /// Emits one (kernel, precision, lanes) C11 source. See codegen.hpp for the
 /// bit-identity contract; the structure per pass is: topo order, maximal
 /// IO-free runs become SIMD block loops (width CITL_W, resolved when the
@@ -108,13 +98,9 @@ class Emitter {
             "  void (*bus_write_at)(void* bus, unsigned lane,"
             " unsigned region, double offset, double value);\n"
             "} citl_native_ctx;\n\n";
-    out_ << "#ifdef " << kDenseUnit.define << "\n"
-         << "unsigned citl_native_abi(void) { return " << kNativeKernelAbi
+    out_ << "unsigned citl_native_abi(void) { return " << kNativeKernelAbi
          << "u; }\n\n";
-    emit_dense();
-    out_ << "#endif\n#ifdef " << kMaskedUnit.define << "\n";
-    emit_masked();
-    out_ << "#endif\n";
+    emit_run();
     return out_.str();
   }
 
@@ -172,8 +158,8 @@ class Emitter {
   }
 
   /// One node evaluated for one lane, bit-identical to
-  /// BatchedCgraMachine::run_pass. Used for masked passes, SIMD tails, and
-  /// copy/IO nodes inside dense blocks.
+  /// BatchedCgraMachine::run_pass. Used for SIMD tails, IO nodes and the
+  /// copy nodes inside SIMD blocks.
   void scalar_stmt(NodeId id, const std::string& lane, const char* ind) {
     const Node& n = k_.dfg.node(id);
     const std::size_t dst = row(id);
@@ -460,14 +446,13 @@ class Emitter {
             "  (void)P; (void)S; (void)PR;\n";
   }
 
-  /// The commit phase, emitted at the end of both passes: latch stage-0 rows
+  /// The commit phase, emitted at the end of the pass: latch stage-0 rows
   /// into the pipeline-register bank and state update rows into the state
   /// bank, exactly what BatchedCgraMachine::commit does (raw double rows,
-  /// no quantisation). The host skips
-  /// its own data copies for the native tier. Dense emission keeps the lane
-  /// loop innermost (one contiguous row per copy — trivially vectorized);
-  /// the masked form indirects each copy through the active-lane list.
-  void emit_commit_dense() {
+  /// no quantisation). The host skips its own data copies for the native
+  /// tier. The lane loop stays innermost (one contiguous row per copy —
+  /// trivially vectorized).
+  void emit_commit() {
     for (std::size_t i = 0; i < k_.dfg.size(); ++i) {
       if (k_.dfg.node(static_cast<NodeId>(i)).stage != 0) continue;
       out_ << "  for (int l = 0; l < CITL_LANES; ++l) P[" << i * lanes_
@@ -480,24 +465,8 @@ class Emitter {
     }
   }
 
-  void emit_commit_masked() {
-    out_ << "  for (unsigned k = 0; k < n; ++k) {\n"
-            "    const int l = (int)ids[k];\n";
-    for (std::size_t i = 0; i < k_.dfg.size(); ++i) {
-      if (k_.dfg.node(static_cast<NodeId>(i)).stage != 0) continue;
-      out_ << "    P[" << i * lanes_ << " + l] = V[" << i * lanes_
-           << " + l];\n";
-    }
-    const auto& states = k_.dfg.states();
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      out_ << "    S[" << i * lanes_ << " + l] = V[" << row(states[i].update)
-           << " + l];\n";
-    }
-    out_ << "  }\n";
-  }
-
-  void emit_dense() {
-    out_ << "void citl_run_dense(citl_native_ctx* ctx) {\n";
+  void emit_run() {
+    out_ << "void citl_run(citl_native_ctx* ctx) {\n";
     emit_bank_locals();
     std::size_t i = 0;
     while (i < topo_.size()) {
@@ -567,21 +536,7 @@ class Emitter {
       locals_.clear();
       i = j;
     }
-    emit_commit_dense();
-    out_ << "}\n\n";
-  }
-
-  void emit_masked() {
-    out_ << "void citl_run_masked(citl_native_ctx* ctx, const unsigned* ids,"
-            " unsigned n) {\n";
-    emit_bank_locals();
-    for (NodeId id : topo_) {
-      out_ << "  for (unsigned k = 0; k < n; ++k) {\n"
-              "    const int l = (int)ids[k];\n";
-      scalar_stmt(id, "l", "    ");
-      out_ << "  }\n";
-    }
-    emit_commit_masked();
+    emit_commit();
     out_ << "}\n\n";
   }
 
@@ -745,25 +700,16 @@ class Emitter {
 // Compiler discovery (once per process)
 // ---------------------------------------------------------------------------
 
-/// Starts `cmd` through the shell with its stdout+stderr piped back (null
-/// when popen itself fails); finish_command() reaps it.
-FILE* start_command(const std::string& cmd) {
-  return ::popen((cmd + " 2>&1").c_str(), "r");
-}
-
-/// Drains a started command's combined output into `out`, then reaps it.
+/// Runs `cmd` through the shell and collects its stdout+stderr into `out`.
 /// Returns the exit status (-1 when the command never started).
-int finish_command(FILE* p, std::string* out) {
+int run_command(const std::string& cmd, std::string* out) {
   out->clear();
+  FILE* p = ::popen((cmd + " 2>&1").c_str(), "r");
   if (p == nullptr) return -1;
   char buf[4096];
   std::size_t got;
   while ((got = std::fread(buf, 1, sizeof buf, p)) > 0) out->append(buf, got);
   return ::pclose(p);
-}
-
-int run_command(const std::string& cmd, std::string* out) {
-  return finish_command(start_command(cmd), out);
 }
 
 /// 32-hex digest: FNV-1a under two offset bases.
@@ -806,7 +752,7 @@ struct CompilerInfo {
   bool available = false;
   std::string cc;       ///< resolved compiler command
   std::string version;  ///< first line of `cc --version`
-  std::string flags;    ///< full flag string used for kernel unit compiles
+  std::string flags;    ///< full flag string used for kernel compiles
   std::string arch;     ///< "avx2" / "neon" / "scalar" under those flags
   std::string target;   ///< digest of the sorted `-dM -E` macro list
   std::string error;    ///< why discovery failed (for last_error())
@@ -814,11 +760,6 @@ struct CompilerInfo {
 
 CompilerInfo discover_compiler() {
   CompilerInfo info;
-  const char* disabled = std::getenv("CITL_CODEGEN_DISABLE");
-  if (disabled != nullptr && std::string_view(disabled) == "1") {
-    info.error = "native codegen disabled via CITL_CODEGEN_DISABLE=1";
-    return info;
-  }
   std::vector<std::string> candidates;
   if (const char* env_cc = std::getenv("CITL_CODEGEN_CC")) {
     // Explicit override: no fallthrough, so tests (and operators) can force
@@ -847,7 +788,8 @@ CompilerInfo discover_compiler() {
   }
   // The generated kernels are plain C11: a C++ driver compiles them with its
   // C front end, which parses <immintrin.h> and <math.h> in a fraction of
-  // the time C++ mode takes. -shared belongs to the link step alone.
+  // the time C++ mode takes. The kernel build adds -shared; the probe below
+  // only preprocesses.
   const std::string base_flags =
       std::string("-x c -std=c11 -O3 -fPIC -ffp-contract=off -fno-math-errno") +
       kSanitizeFlags;
@@ -1030,11 +972,10 @@ std::string json_escape(const std::string& s) {
 
 struct LoadedSo {
   void* handle = nullptr;
-  NativeKernel::DenseFn dense = nullptr;
-  NativeKernel::MaskedFn masked = nullptr;
+  NativeKernel::RunFn run = nullptr;
 };
 
-/// dlopen + full verification (ABI tag, content hash, entry points). Any
+/// dlopen + full verification (ABI tag, content hash, entry point). Any
 /// mismatch closes the handle and reports why — the caller treats the .so as
 /// corrupt and recompiles.
 bool load_so(const fs::path& so, const std::string& hash, LoadedSo* out,
@@ -1061,16 +1002,10 @@ bool load_so(const fs::path& so, const std::string& hash, LoadedSo* out,
   auto hfn = reinterpret_cast<HashFn>(::dlsym(h, "citl_native_hash"));
   if (hfn == nullptr) return fail("missing citl_native_hash");
   if (hash != hfn()) return fail("content hash mismatch");
-  auto dense =
-      reinterpret_cast<NativeKernel::DenseFn>(::dlsym(h, "citl_run_dense"));
-  auto masked =
-      reinterpret_cast<NativeKernel::MaskedFn>(::dlsym(h, "citl_run_masked"));
-  if (dense == nullptr || masked == nullptr) {
-    return fail("missing kernel entry points");
-  }
+  auto run = reinterpret_cast<NativeKernel::RunFn>(::dlsym(h, "citl_run"));
+  if (run == nullptr) return fail("missing citl_run");
   out->handle = h;
-  out->dense = dense;
-  out->masked = masked;
+  out->run = run;
   return true;
 }
 
@@ -1105,12 +1040,10 @@ std::string emit_kernel_source(const CompiledKernel& kernel,
   return e.emit();
 }
 
-NativeKernel::NativeKernel(void* dl_handle, DenseFn dense, MaskedFn masked,
-                           std::string hash, double compile_ms, bool disk_hit,
-                           bool repaired)
+NativeKernel::NativeKernel(void* dl_handle, RunFn run_fn, std::string hash,
+                           double compile_ms, bool disk_hit, bool repaired)
     : dl_handle_(dl_handle),
-      dense_(dense),
-      masked_(masked),
+      run_(run_fn),
       hash_(std::move(hash)),
       compile_ms_(compile_ms),
       disk_hit_(disk_hit),
@@ -1266,9 +1199,8 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     std::string why;
     if (load_so(so, hash, &loaded, &why)) {
       *disk_hit = true;
-      return std::make_shared<NativeKernel>(loaded.handle, loaded.dense,
-                                            loaded.masked, hash, 0.0,
-                                            /*disk_hit=*/true,
+      return std::make_shared<NativeKernel>(loaded.handle, loaded.run, hash,
+                                            0.0, /*disk_hit=*/true,
                                             /*repaired=*/false);
     }
     // Corrupt / stale: discard and recompile.
@@ -1293,53 +1225,27 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
   // bakes the hash into the binary so verification can detect a swapped or
   // truncated .so.
   std::string full = source;
-  full += "#ifdef ";
-  full += kDenseUnit.define;
-  full += "\nconst char* citl_native_hash(void) { return \"";
+  full += "const char* citl_native_hash(void) { return \"";
   full += hash;
-  full += "\"; }\n#endif\n";
+  full += "\"; }\n";
   if (!write_file_atomic(src, full, error)) return nullptr;
 
-  // Both units compile at once from the one source, then link into the .so.
-  // Temporaries carry a unique suffix, like write_file_atomic's, so builds
-  // sharing the cache dir never collide; they are removed on every path.
-  const std::string tmp = temp_suffix();
-  const fs::path so_tmp = so.string() + tmp;
-  const Unit units[] = {kDenseUnit, kMaskedUnit};
-  fs::path objs[2];
-  FILE* running[2];
+  // One compiler process compiles and links the source into a temporary
+  // .so. Its unique suffix, like write_file_atomic's, keeps builds sharing
+  // the cache dir apart; a failed build removes it.
+  const fs::path so_tmp = so.string() + temp_suffix();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int u = 0; u < 2; ++u) {
-    objs[u] = dir / (hash + "." + units[u].name + tmp + ".o");
-    running[u] = start_command(
-        shell_quote(ci.cc) + " " + ci.flags + " -D" + units[u].define +
-        " -I " + shell_quote(dir.string()) + " -c -o " +
-        shell_quote(objs[u].string()) + " " + shell_quote(src.string()));
-  }
-  std::string failure;
-  for (int u = 0; u < 2; ++u) {
-    std::string cc_out;
-    if (finish_command(running[u], &cc_out) != 0 && failure.empty()) {
-      failure = "kernel compile failed (" + ci.cc + ", " + units[u].name +
-                " unit): " + first_line(cc_out);
-    }
-  }
-  if (failure.empty()) {
-    std::string ld_out;
-    if (run_command(shell_quote(ci.cc) + " -shared" + kSanitizeFlags + " -o " +
-                        shell_quote(so_tmp.string()) + " " +
-                        shell_quote(objs[0].string()) + " " +
-                        shell_quote(objs[1].string()) + " -lm",
-                    &ld_out) != 0) {
-      failure = "kernel link failed (" + ci.cc + "): " + first_line(ld_out);
-    }
-  }
+  std::string cc_out;
+  const int status = run_command(
+      shell_quote(ci.cc) + " " + ci.flags + " -shared -I " +
+          shell_quote(dir.string()) + " -o " + shell_quote(so_tmp.string()) +
+          " " + shell_quote(src.string()) + " -lm",
+      &cc_out);
   const auto t1 = std::chrono::steady_clock::now();
   *compile_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  for (const fs::path& o : objs) fs::remove(o, ec);
-  if (!failure.empty()) {
-    *error = failure;
+  if (status != 0) {
+    *error = "kernel compile failed (" + ci.cc + "): " + first_line(cc_out);
     fs::remove(so_tmp, ec);
     return nullptr;
   }
@@ -1381,9 +1287,9 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     fs::remove(so, ec);
     return nullptr;
   }
-  return std::make_shared<NativeKernel>(loaded.handle, loaded.dense,
-                                        loaded.masked, hash, *compile_ms,
-                                        /*disk_hit=*/false, *repaired);
+  return std::make_shared<NativeKernel>(loaded.handle, loaded.run, hash,
+                                        *compile_ms, /*disk_hit=*/false,
+                                        *repaired);
 }
 
 ExecTier resolve_exec_tier(ExecTier requested, const CompiledKernel& kernel,

@@ -9,12 +9,12 @@
 // min/max/CORDIC go through the same scalar rules and iteration sequences, and
 // FP contraction is disabled at compile time.
 //
-// NativeKernelCache::get() turns that source into a callable: it compiles
-// the source as two units at once (the dense and the masked entry point,
-// each under its own guard) and links both objects into one .so. It has two
-// keys. The in-process memo is keyed by what the emitter reads (the graph's
-// tables, the kernel name, the precision and the lane count), so a hit
-// emits nothing. Only a miss emits the source and derives the disk key, a
+// NativeKernelCache::get() turns that source into a callable: one compiler
+// process builds it straight into a .so whose one entry point, citl_run, is
+// the full-width pass (a lane-masked pass runs on the interpreter). It has
+// two keys. The in-process memo is keyed by what the emitter reads (the
+// graph's tables, the kernel name, the precision and the lane count), so a
+// hit emits nothing. Only a miss emits the source and derives the disk key, a
 // content hash (emitted source + compiler version + flags + the compiler's
 // resolved target macros + ABI tag), under which the kernel persists in a
 // disk cache directory ($CITL_KERNEL_CACHE_DIR, default
@@ -22,10 +22,9 @@
 // (a compilation report). A corrupt or mismatched .so is deleted and
 // recompiled. In a CITL_SANITIZE build the kernels are compiled and linked
 // with the library's own sanitizer flags, which the hash and the report
-// carry like every other flag. When no host compiler can be found (or
-// $CITL_CODEGEN_DISABLE=1), get() returns nullptr and the engine falls back
-// to the interpreter — nothing in the pipeline requires a toolchain at run
-// time.
+// carry like every other flag. When no host compiler can be found, get()
+// returns nullptr and the engine falls back to the interpreter — nothing in
+// the pipeline requires a toolchain at run time.
 //
 // Compiler discovery order: $CITL_CODEGEN_CC (explicit, no fallthrough — set
 // it to a bogus path to force the fallback), the compiler that built this
@@ -46,7 +45,7 @@ namespace citl::cgra {
 
 /// ABI contract between the host and a generated kernel. Bumping it orphans
 /// every cached .so (they fail verification and are recompiled).
-inline constexpr unsigned kNativeKernelAbi = 3;
+inline constexpr unsigned kNativeKernelAbi = 4;
 
 /// Pass-level execution state handed to a generated kernel: the engine's
 /// SoA banks plus the sensor-bus trampolines (the generated code never
@@ -83,34 +82,27 @@ struct NativeCtx {
 /// A loaded generated kernel (owns the dlopen handle).
 class NativeKernel {
  public:
-  using DenseFn = void (*)(NativeCtx*);
-  using MaskedFn = void (*)(NativeCtx*, const std::uint32_t*, std::uint32_t);
+  using RunFn = void (*)(NativeCtx*);
 
-  NativeKernel(void* dl_handle, DenseFn dense, MaskedFn masked,
-               std::string hash, double compile_ms, bool disk_hit,
-               bool repaired);
+  NativeKernel(void* dl_handle, RunFn run_fn, std::string hash,
+               double compile_ms, bool disk_hit, bool repaired);
   ~NativeKernel();
   NativeKernel(const NativeKernel&) = delete;
   NativeKernel& operator=(const NativeKernel&) = delete;
 
-  void run_dense(NativeCtx& ctx) const { dense_(&ctx); }
-  void run_masked(NativeCtx& ctx, const std::uint32_t* lane_ids,
-                  std::uint32_t n_active) const {
-    masked_(&ctx, lane_ids, n_active);
-  }
+  /// One full-width iteration over every lane, commit included.
+  void run(NativeCtx& ctx) const { run_(&ctx); }
 
   [[nodiscard]] const std::string& hash() const noexcept { return hash_; }
-  /// Wall-clock cost of the host-compiler invocations (both unit compiles
-  /// and the link) that produced the .so this process loaded; 0 when it came
-  /// straight from the disk cache.
+  /// Wall-clock cost of the host-compiler run that produced the .so this
+  /// process loaded; 0 when it came straight from the disk cache.
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
   [[nodiscard]] bool disk_hit() const noexcept { return disk_hit_; }
   [[nodiscard]] bool repaired() const noexcept { return repaired_; }
 
  private:
   void* dl_handle_;
-  DenseFn dense_;
-  MaskedFn masked_;
+  RunFn run_;
   std::string hash_;
   double compile_ms_;
   bool disk_hit_;
@@ -132,7 +124,7 @@ struct CodegenStats {
 class NativeKernelCache {
  public:
   /// Returns the loaded kernel, or nullptr when the native tier is
-  /// unavailable (no compiler, disabled, or the compile failed) — callers
+  /// unavailable (no compiler, or the compile failed) — callers
   /// fall back to the interpreter. Kernels with the same graph tables, name,
   /// precision and lanes share one memo entry, however they were compiled;
   /// concurrent gets of one entry share one compilation, and failures are

@@ -8,18 +8,19 @@
 //   kInterpreter — walk the dataflow graph node by node, dispatching on
 //                  OpKind, one tight loop over the lanes per node. Always
 //                  available; no toolchain dependency. (The cycle-accurate
-//                  mode always interprets — it is the timing twin.)
-//   kNative      — straight-line C++ emitted from the dataflow graph (SIMD
+//                  mode and every lane-masked pass always interpret.)
+//   kNative      — straight-line C11 emitted from the dataflow graph (SIMD
 //                  over the SoA lanes), compiled by the host compiler,
-//                  dlopen'd and cached on disk (cgra/codegen.hpp). Falls
-//                  back to kInterpreter when no compiler is available.
+//                  dlopen'd and cached on disk (cgra/codegen.hpp); it runs
+//                  full-width passes only. Falls back to kInterpreter when
+//                  no compiler is available.
 //   kAuto        — kNative when a host compiler can be found, else
 //                  kInterpreter.
 //
 // The tier is a configuration knob (hil::LoopConfig /
 // api::SessionConfig); the engine resolves kAuto and the no-compiler
-// fallback at construction and reports the tier it actually runs via
-// exec_tier(). The enumerator values are wire and journal bytes; value 1
+// fallback at construction, and exec_tier() names the tier its full-width
+// passes run on. The enumerator values are wire and journal bytes; value 1
 // belonged to a retired tier and is refused as an unknown tier.
 #pragma once
 

@@ -156,7 +156,6 @@ struct SessionRuntime::Session {
 
 SessionRuntime::SessionRuntime(RuntimeConfig config)
     : config_(config),
-      cache_(config.cache != nullptr ? config.cache : &own_cache_),
       gate_(std::make_unique<StepGate>(
           config.max_concurrent_steps != 0
               ? config.max_concurrent_steps
@@ -211,7 +210,7 @@ std::shared_ptr<SessionRuntime::Session> SessionRuntime::build_session(
   const hil::TurnLoopConfig tl = api::to_turnloop_config(config);
   const auto kind = tl.synthesize_waveform ? sweep::KernelKind::kAnalytic
                                            : sweep::KernelKind::kSampled;
-  auto kernel = cache_->get(hil::effective_kernel_config(tl), tl.arch, kind);
+  auto kernel = cache_.get(hil::effective_kernel_config(tl), tl.arch, kind);
 
   // One revolution's budget at the CGRA clock vs one kernel iteration.
   const double budget_cycles = kernel->arch.clock_hz / tl.f_ref_hz;
@@ -727,8 +726,8 @@ RuntimeStats SessionRuntime::stats() {
   out.admission_rejections = admission_rejections_.value();
   out.step_requests = step_requests_.value();
   out.turns_stepped = turns_stepped_.value();
-  out.kernel_compilations = cache_->compilations();
-  out.kernel_lookups = cache_->lookups();
+  out.kernel_compilations = cache_.compilations();
+  out.kernel_lookups = cache_.lookups();
   out.sessions_recovered = sessions_recovered_.value();
   out.sessions_reaped = sessions_reaped_.value();
   out.journal_records = journal_records_.value();
@@ -743,7 +742,7 @@ std::string SessionRuntime::prometheus_text() {
   // Scrape-time values join the snapshot. The per-session gauges are not
   // registered: the registry cannot drop a destroyed session's series.
   snap.counters.emplace_back("serve.kernel_compilations_total",
-                             cache_->compilations());
+                             cache_.compilations());
   {
     std::lock_guard<std::mutex> lk(sessions_mutex_);
     snap.gauges.emplace_back("serve.sessions_active",

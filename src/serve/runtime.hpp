@@ -65,8 +65,6 @@ struct RuntimeConfig {
   std::uint32_t max_turns_per_step = 1u << 16;
   /// Checkpoint images retained per session (kOutOfRange beyond it).
   std::size_t max_snapshots_per_session = 16;
-  /// Kernel cache to compile through; nullptr = runtime-private cache.
-  sweep::KernelCache* cache = nullptr;
   /// Directory for per-session citl-journal-v1 write-ahead journals. Empty =
   /// journaling off (no durability). With a state_dir set, every mutating
   /// request is journalled + fsync'd before it is acknowledged, and
@@ -235,8 +233,7 @@ class SessionRuntime {
                       const WireWriter& payload, bool sync = true);
 
   RuntimeConfig config_;
-  sweep::KernelCache own_cache_;
-  sweep::KernelCache* cache_;
+  sweep::KernelCache cache_;
 
   std::mutex sessions_mutex_;
   std::map<std::uint32_t, std::shared_ptr<Session>> sessions_;

@@ -152,9 +152,4 @@ void KernelCache::clear() {
   entries_.clear();
 }
 
-KernelCache& KernelCache::global() {
-  static KernelCache cache;
-  return cache;
-}
-
 }  // namespace citl::sweep

@@ -69,9 +69,6 @@ class KernelCache {
   /// alive through their shared_ptr).
   void clear();
 
-  /// Process-wide cache shared by sweeps that do not bring their own.
-  static KernelCache& global();
-
  private:
   using Entry =
       std::shared_future<std::shared_ptr<const cgra::CompiledKernel>>;

@@ -3,9 +3,10 @@
 // masked lanes, the shape of the emitted C11 source and its strict-C11 lint,
 // the disk cache's cold, warm (in-process and from a second process) and
 // corrupt-artifact paths, its content-hash key and the exact memo key, the
-// no-compiler and failed-unit fallbacks, config threading over the wire, the
-// differential oracle bisecting over natively compiled engines, and a
-// batched framework sweep loading one native kernel. Every lane
+// no-compiler and failed-compile fallbacks, config threading over the wire,
+// the differential oracle bisecting over natively compiled engines, a
+// batched framework sweep loading one native kernel, and native sweeps whose
+// lanes end apart or together. Every lane
 // is held to the one-lane cycle-accurate walk (values and states) and the
 // one-lane interpreter (bus write order) — engine_check.hpp. Every suite
 // name starts with "Codegen" so CI can run the subsystem alone with
@@ -35,11 +36,13 @@
 #include "engine_check.hpp"
 #include "hil/framework.hpp"
 #include "hil/turnloop.hpp"
+#include "obs/metrics.hpp"
 #include "oracle/oracle.hpp"
 #include "phys/relativity.hpp"
 #include "phys/synchrotron.hpp"
 #include "serve/wire.hpp"
 #include "sweep/grid.hpp"
+#include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
 
 namespace citl::cgra {
@@ -113,21 +116,19 @@ int run_shell(const std::string& command, std::string* output) {
   return ::pclose(pipe);
 }
 
-/// Compiles `src` once per unit as strict, warning-free C11, with `dir` (where
-/// the portability header sits) on the include path; a failure prints the
+/// Compiles `src` as strict, warning-free C11, with `dir` (where the
+/// portability header sits) on the include path; a failure prints the
 /// compiler's diagnostics.
 void expect_strict_c11(const std::string& dir, const std::string& src) {
-  for (const char* unit : {"CITL_UNIT_DENSE", "CITL_UNIT_MASKED"}) {
-    SCOPED_TRACE(src + " -D" + unit);
-    std::string diagnostics;
-    EXPECT_EQ(run_shell("'" + NativeKernelCache::compiler_command() +
-                            "' -x c -std=c11 -pedantic-errors -Wall -Wextra"
-                            " -Werror -fsyntax-only -march=native -D" +
-                            unit + " -I '" + dir + "' '" + src + "'",
-                        &diagnostics),
-              0)
-        << diagnostics;
-  }
+  SCOPED_TRACE(src);
+  std::string diagnostics;
+  EXPECT_EQ(run_shell("'" + NativeKernelCache::compiler_command() +
+                          "' -x c -std=c11 -pedantic-errors -Wall -Wextra"
+                          " -Werror -fsyntax-only -march=native -I '" +
+                          dir + "' '" + src + "'",
+                      &diagnostics),
+            0)
+      << diagnostics;
 }
 
 // --- identity: every kernel x precision ------------------------------------
@@ -147,9 +148,10 @@ TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
 }
 
 TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
-  // The 8-lane engine (the masked path plus pipeline-register latching) on
-  // every kernel but the ramp kernel, which only the one-lane test above
-  // covers: each kernel here costs two more cold compiles.
+  // The 8-lane engine (pipeline-register latching, and interpreted masked
+  // passes between native full-width ones) on every kernel but the ramp
+  // kernel, which only the one-lane test above covers: each kernel here
+  // costs two more cold compiles.
   for (const KernelCase& c : kernel_cases()) {
     if (c.label == "ramp") continue;
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
@@ -173,7 +175,7 @@ TEST(CodegenIdentity, AutoResolvesAndMatches) {
 
 // --- the emitted source ------------------------------------------------------
 
-TEST(CodegenSource, PlainC11WithOnePreludeAndBothEntryPoints) {
+TEST(CodegenSource, PlainC11WithOnePreludeAndOneEntryPoint) {
   for (const KernelCase& c : kernel_cases()) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       for (std::size_t lanes : {1u, 8u}) {
@@ -185,25 +187,20 @@ TEST(CodegenSource, PlainC11WithOnePreludeAndBothEntryPoints) {
         EXPECT_EQ(count_of(src, "<cmath>"), 0u);
         EXPECT_EQ(count_of(src, "<cstdint>"), 0u);
         EXPECT_EQ(count_of(src, "#include <math.h>"), 1u);
-        // The prelude (macros, atan table, helpers) is emitted once and
-        // shared; each entry point sits under its own unit guard.
+        // The prelude (macros, atan table, helpers) is emitted once, ahead
+        // of the one entry point; no unit guard splits the source.
         EXPECT_EQ(count_of(src, "static const double citl_atan["), 1u);
-        EXPECT_EQ(count_of(src, "void citl_run_dense("), 1u);
-        EXPECT_EQ(count_of(src, "void citl_run_masked("), 1u);
-        const auto dense_guard = src.find("#ifdef CITL_UNIT_DENSE\n");
-        const auto dense = src.find("void citl_run_dense(");
-        const auto masked_guard = src.find("#ifdef CITL_UNIT_MASKED\n");
-        const auto masked = src.find("void citl_run_masked(");
-        EXPECT_LT(src.find("citl_atan["), dense_guard);
-        EXPECT_LT(dense_guard, dense);
-        EXPECT_LT(dense, masked_guard);
-        EXPECT_LT(masked_guard, masked);
+        EXPECT_EQ(count_of(src, "void citl_run("), 1u);
+        EXPECT_EQ(count_of(src, "citl_run_"), 0u);
+        EXPECT_EQ(count_of(src, "#ifdef"), 0u);
+        EXPECT_EQ(count_of(src, "CITL_UNIT"), 0u);
+        EXPECT_LT(src.find("citl_atan["), src.find("void citl_run("));
       }
     }
   }
 }
 
-TEST(CodegenSource, BothUnitsCompileAsStrictC11) {
+TEST(CodegenSource, CompilesAsStrictC11) {
   if (!native_available()) {
     GTEST_SKIP() << "no host compiler: native tier unavailable";
   }
@@ -271,7 +268,7 @@ TEST(CodegenCache, ColdCompileThenWarmDiskHit) {
     EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
 
     // The cold build leaves exactly the source, the .so, the report and the
-    // portability header: no unit objects, no temporaries.
+    // portability header: no objects, no temporaries.
     std::vector<std::string> files;
     for (const auto& e :
          std::filesystem::directory_iterator(cache_dir.dir())) {
@@ -542,21 +539,22 @@ TEST(CodegenFallback, NoCompilerFallsBackToInterpreter) {
   ::unsetenv("CITL_CODEGEN_CC");
 }
 
-TEST(CodegenFallback, FailedMaskedUnitFallsBackAndCleansUp) {
+TEST(CodegenFallback, FailedCompileFallsBackAndCleansUp) {
   if (!native_available()) {
     GTEST_SKIP() << "no host compiler: native tier unavailable";
   }
-  // A compiler that builds the dense unit but refuses the masked one: the
-  // whole kernel falls back, the error names the unit, and neither unit's
-  // object nor the half-built .so survives. Runs in a re-executed child for
-  // the same reason as the test above.
+  // A compiler that passes discovery (its version and macro probes) but
+  // refuses the kernel build: the kernel falls back, the error carries the
+  // compiler's message, and no object, temporary or half-built .so
+  // survives. Runs in a re-executed child for the same reason as the test
+  // above.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ScopedCacheDir cache_dir("citl_codegen_masked_fails");
-  const std::string wrapper = ::testing::TempDir() + "citl_masked_fails_cc";
+  ScopedCacheDir cache_dir("citl_codegen_compile_fails");
+  const std::string wrapper = ::testing::TempDir() + "citl_compile_fails_cc";
   if (NativeKernelCache::compiler_command() != wrapper) {
     write_compiler_wrapper(
-        wrapper, "case \" $* \" in *\" -DCITL_UNIT_MASKED \"*)\n"
-                 "  echo 'test compiler refuses the masked unit' >&2; exit 1;;\n"
+        wrapper, "case \" $* \" in *\" -shared \"*)\n"
+                 "  echo 'test compiler refuses the kernel' >&2; exit 1;;\n"
                  "esac\n"
                  "exec '" + NativeKernelCache::compiler_command() +
                      "' \"$@\"\n");
@@ -571,7 +569,11 @@ TEST(CodegenFallback, FailedMaskedUnitFallsBackAndCleansUp) {
         EXPECT_EQ(cache.get(kernel, Precision::kFloat64, 8), nullptr);
         EXPECT_EQ(cache.stats().fallbacks, before.fallbacks + 1);
         EXPECT_EQ(cache.stats().compiles, before.compiles);
-        EXPECT_NE(cache.last_error().find("masked unit"), std::string::npos)
+        EXPECT_NE(cache.last_error().find("kernel compile failed"),
+                  std::string::npos)
+            << cache.last_error();
+        EXPECT_NE(cache.last_error().find("test compiler refuses the kernel"),
+                  std::string::npos)
             << cache.last_error();
         for (const auto& e :
              std::filesystem::directory_iterator(cache_dir.dir())) {
@@ -761,6 +763,91 @@ TEST(CodegenSweep, BatchedFrameworkSweepLoadsOneNativeKernel) {
             before.compiles + before.disk_hits + 1);
   EXPECT_EQ(after.memo_hits, before.memo_hits);
   EXPECT_EQ(after.fallbacks, before.fallbacks);
+}
+
+/// A turn-level grid at the paper's operating point on `tier`: gains x jump
+/// amplitudes, equal durations.
+sweep::SweepConfig turn_level_grid(ExecTier tier, std::vector<double> gains,
+                                   std::vector<double> jumps_deg) {
+  api::SessionConfig sc = api::paper_operating_point();
+  sc.exec_tier = tier;
+  sweep::SweepConfig config;
+  config.threads = 2;
+  config.scenarios =
+      sweep::ScenarioGridBuilder::turn_level(api::to_turnloop_config(sc))
+          .gains(std::move(gains))
+          .jump_amplitudes_deg(std::move(jumps_deg))
+          .jump_timing(1.0, 0.2e-3)
+          .duration_s(0.5e-3)
+          .build();
+  return config;
+}
+
+TEST(CodegenSweep, UnevenLaneEndsMatchInterpreter) {
+  if (!native_available()) {
+    GTEST_SKIP() << "no host compiler: native tier unavailable";
+  }
+  // Lanes of a native chunk that end apart run their remaining passes
+  // lane-masked on the interpreter, between native full-width passes over
+  // the same banks. Reports and traces must equal a one-lane interpreted
+  // run's, byte for byte.
+  obs::Registry& reg = obs::Registry::global();
+  const bool reg_was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const obs::Counter& interpreted =
+      reg.counter("cgra.exec.iterations.interpreter");
+  const obs::Counter& native = reg.counter("cgra.exec.iterations.native");
+
+  sweep::SweepConfig reference =
+      turn_level_grid(ExecTier::kInterpreter, {-3, -5}, {4, 6, 8, 10});
+  sweep::SweepConfig uneven =
+      turn_level_grid(ExecTier::kNative, {-3, -5}, {4, 6, 8, 10});
+  for (std::size_t i = 0; i < uneven.scenarios.size(); ++i) {
+    const double duration_s = 0.3e-3 + 0.05e-3 * static_cast<double>(i);
+    reference.scenarios[i].duration_s = duration_s;
+    uneven.scenarios[i].duration_s = duration_s;
+  }
+  reference.batch_lanes = 0;
+  uneven.batch_lanes = 4;
+  const sweep::SweepResult want = sweep::run_sweep(reference);
+  const std::uint64_t interpreted_before = interpreted.value();
+  const std::uint64_t native_before = native.value();
+  const sweep::SweepResult got = sweep::run_sweep(uneven);
+  EXPECT_EQ(got.batch_chunks, 2u);
+  EXPECT_GE(interpreted.value() - interpreted_before, 1u);
+  EXPECT_GE(native.value() - native_before, 1u);
+  EXPECT_EQ(sweep::metrics_csv(got), sweep::metrics_csv(want));
+  EXPECT_EQ(sweep::metrics_json(got), sweep::metrics_json(want));
+  ASSERT_EQ(got.scenarios.size(), want.scenarios.size());
+  for (std::size_t i = 0; i < got.scenarios.size(); ++i) {
+    EXPECT_FALSE(got.scenarios[i].trace_phase_rad.empty());
+    EXPECT_EQ(got.scenarios[i].trace_time_s, want.scenarios[i].trace_time_s)
+        << got.scenarios[i].name;
+    EXPECT_EQ(got.scenarios[i].trace_phase_rad,
+              want.scenarios[i].trace_phase_rad)
+        << got.scenarios[i].name;
+  }
+
+  // Shaped like perfbench's sweep_grid (equal durations, 8 lanes, native):
+  // every pass is full-width and native, none leaves the compiled kernel.
+  sweep::SweepConfig lockstep =
+      turn_level_grid(ExecTier::kNative, {-3, -4, -5, -6}, {4, 6, 8, 10});
+  lockstep.batch_lanes = 8;
+  lockstep.collect_traces = false;
+  const obs::Counter& passes = reg.counter("cgra.batch.iterations");
+  const obs::Counter& lane_passes = reg.counter("cgra.batch.lane_iterations");
+  const std::uint64_t interpreted_start = interpreted.value();
+  const std::uint64_t native_start = native.value();
+  const std::uint64_t passes_start = passes.value();
+  const std::uint64_t lane_passes_start = lane_passes.value();
+  const sweep::SweepResult grid = sweep::run_sweep(lockstep);
+  EXPECT_EQ(grid.batch_chunks, 2u);
+  EXPECT_EQ(interpreted.value() - interpreted_start, 0u);
+  EXPECT_GT(passes.value() - passes_start, 0u);
+  EXPECT_EQ(native.value() - native_start, passes.value() - passes_start);
+  EXPECT_EQ(lane_passes.value() - lane_passes_start,
+            8 * (passes.value() - passes_start));
+  reg.set_enabled(reg_was_enabled);
 }
 
 }  // namespace
