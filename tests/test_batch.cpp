@@ -1,11 +1,14 @@
 // Lane-parallel CGRA execution: bit-identity of every lane to one-lane
 // references (values, states and pipeline registers against the
 // cycle-accurate walk, bus write order against the one-lane interpreter; per
-// kernel, per precision), lane masking, the handle-based model API, unified
-// error reporting, and byte-identity of batched sweep reports.
+// kernel, per precision), lane masking, an engine reset and restored
+// mid-run against a fresh one, the handle-based model API, unified error
+// reporting, and byte-identity of batched sweep reports.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -251,6 +254,97 @@ TEST(Batch, BeamModelInterfaceIsUniform) {
   EXPECT_EQ(batch.lanes(), 3u);
   EXPECT_EQ(&single.kernel(), &k);
   EXPECT_EQ(&batch.kernel(), &k);
+}
+
+/// Iteration `i` of a mixed schedule: full width, then two masked subsets
+/// (a one-lane engine always runs full width).
+void run_mixed_iteration(BatchedCgraMachine& m, int i) {
+  static constexpr std::uint32_t kOuter[] = {0, 2};
+  static constexpr std::uint32_t kMiddle[] = {1};
+  if (m.lanes() < 3 || i % 3 == 0) {
+    m.run_iteration_all_lanes();
+  } else if (i % 3 == 1) {
+    m.run_iteration_lanes(kOuter, 2);
+  } else {
+    m.run_iteration_lanes(kMiddle, 1);
+  }
+}
+
+std::vector<std::uint64_t> engine_bits(const BatchedCgraMachine& m) {
+  const Dfg& g = m.kernel().dfg;
+  std::vector<std::uint64_t> out;
+  std::vector<double> states(g.states().size());
+  std::vector<double> regs(m.pipe_reg_count());
+  for (std::size_t lane = 0; lane < m.lanes(); ++lane) {
+    m.snapshot_states(lane, states.data());
+    m.snapshot_pipe_regs(lane, regs.data());
+    for (double v : states) out.push_back(std::bit_cast<std::uint64_t>(v));
+    for (double v : regs) out.push_back(std::bit_cast<std::uint64_t>(v));
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      out.push_back(std::bit_cast<std::uint64_t>(
+          m.value(static_cast<NodeId>(i), lane)));
+    }
+  }
+  return out;
+}
+
+// reset() re-assigns the state and param banks; an engine that ran, was
+// reset and had one lane restored from a snapshot must run on exactly as a
+// fresh engine given the same restore and the same inputs.
+TEST(Batch, PlanSurvivesResetAndRestore) {
+  for (const auto& c : kernel_cases()) {
+    for (const Precision p : {Precision::kFloat32, Precision::kFloat64}) {
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(c.label + (p == Precision::kFloat32 ? " f32 " : " f64 ") +
+                     std::to_string(lanes) + " lane(s)");
+        const std::size_t restored = lanes - 1;
+        std::vector<std::unique_ptr<LaneFnBus>> used_buses, fresh_buses;
+        std::vector<SensorBus*> used_ptrs, fresh_ptrs;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          used_buses.push_back(std::make_unique<LaneFnBus>(l));
+          fresh_buses.push_back(std::make_unique<LaneFnBus>(l));
+          used_ptrs.push_back(used_buses.back().get());
+          fresh_ptrs.push_back(fresh_buses.back().get());
+        }
+        PerLaneBusAdapter used_adapter(used_ptrs), fresh_adapter(fresh_ptrs);
+        BatchedCgraMachine used(c.kernel, lanes, used_adapter, p);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          test_support::perturb_lane(used, l, l);
+        }
+        std::vector<double> states(c.kernel.dfg.states().size());
+        std::vector<double> regs(used.pipe_reg_count());
+        for (int i = 0; i < 17; ++i) {
+          run_mixed_iteration(used, i);
+          if (i == 11) {
+            used.snapshot_states(restored, states.data());
+            used.snapshot_pipe_regs(restored, regs.data());
+          }
+        }
+
+        used.reset();
+        BatchedCgraMachine fresh(c.kernel, lanes, fresh_adapter, p);
+        for (BatchedCgraMachine* m : {&used, &fresh}) {
+          // New params on every lane after the reset: the passes below must
+          // read the banks reset() just filled.
+          for (std::size_t l = 0; l < lanes; ++l) {
+            test_support::perturb_lane(*m, l, l + 5);
+          }
+          m->restore_states(restored, states.data());
+          m->restore_pipe_regs(restored, regs.data());
+        }
+        for (auto& b : used_buses) b->log.clear();
+        for (int i = 0; i < 23; ++i) {
+          run_mixed_iteration(used, i);
+          run_mixed_iteration(fresh, i);
+        }
+        EXPECT_TRUE(engine_bits(used) == engine_bits(fresh));
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(used_buses[l]->log, fresh_buses[l]->log) << "lane " << l;
+        }
+        EXPECT_EQ(used.lane_iterations(), fresh.lane_iterations());
+      }
+    }
+  }
 }
 
 }  // namespace
