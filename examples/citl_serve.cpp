@@ -14,8 +14,8 @@
 // serves until stdin reaches EOF, so `citl_serve < /dev/null` exits at once
 // and a shell pipe keeps it alive exactly as long as the driver wants.
 //
-// --state-dir enables the citl-journal-v1 write-ahead journal: every
-// acknowledged mutation is fsync'd per session under DIR, and a restarted
+// --state-dir enables the citl-journal-v2 write-ahead journal: every
+// acknowledged mutation is synced per session under DIR, and a restarted
 // daemon pointed at the same DIR replays the journals bit-exactly before
 // accepting connections (the CI crash-recovery smoke kill -9s this process
 // and asserts exactly that). --idle-ttl reaps sessions no request has

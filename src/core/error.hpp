@@ -32,7 +32,7 @@ enum class ErrorCode : std::uint16_t {
   kInternal = 10,          ///< unclassified failure
   kTimeout = 11,           ///< socket or request deadline expired
   kRetryExhausted = 12,    ///< retry policy gave up before success
-  kJournalCorrupt = 13,    ///< citl-journal-v1 file failed validation
+  kJournalCorrupt = 13,    ///< citl-journal file failed validation
 };
 
 /// Stable lower_snake name of a code ("admission_rejected"), for logs and

@@ -1,4 +1,4 @@
-// citl-journal-v1: the session server's per-session write-ahead journal.
+// citl-journal-v2: the session server's per-session write-ahead journal.
 //
 // One file per session under the runtime's state_dir records everything a
 // session's state is a function of: its SessionConfig (first record, always),
@@ -14,8 +14,8 @@
 // File layout (all integers little-endian, doubles as raw binary64 bits —
 // the same bit-transparent encoding as citl-wire-v1):
 //
-//   header   15 bytes  magic "citl-journal-v1"
-//            u8        journal format version (1)
+//   header   15 bytes  magic "citl-journal-v2"
+//            u8        journal format version (2)
 //            u32       session id
 //            u64       api::session_config_digest of the session's config
 //   record   u32       payload length
@@ -25,8 +25,17 @@
 //            u64       chain hash: FNV-1a over (previous chain hash ‖ type ‖
 //                      seq ‖ payload); the first record chains off a hash of
 //                      the header
+//   tail     zeros     the unwritten rest of the last preallocated segment
 //
-// Every record is fsync'd before the server acknowledges the request, so an
+// The file grows in preallocated segments of kJournalSegmentBytes, so a
+// record written inside one does not change the file size and its
+// fdatasync skips the metadata commit; only the first sync after a new
+// segment pays for it. Preallocation is advisory: where fallocate fails the
+// writer appends as before and fdatasync flushes the size. v2 differs from
+// v1 only in the magic, the version byte and the zero tail, so v1 journals
+// (the same layout without a tail) still recover.
+//
+// Every record is synced before the server acknowledges the request, so an
 // acknowledged mutation survives kill -9. A step becomes durable in three
 // parts: its record (with the compaction image, when one falls due) is
 // written before its turns run, synced on the writer's sync thread while
@@ -40,8 +49,9 @@
 // hold a step nobody acknowledged.
 //
 // The chain hash makes torn tails and bit flips detectable: scan_journal()
-// loads the longest valid prefix and reports the first offending byte
-// offset with kJournalCorrupt — a truncated or corrupted journal recovers to
+// loads the longest valid prefix, reads an all-zero remainder after it as
+// the clean end, and reports anything else with the first offending byte
+// offset and kJournalCorrupt — a truncated or corrupted journal recovers to
 // the last durable state instead of failing entirely (recovery semantics in
 // docs/SERVING.md).
 #pragma once
@@ -58,8 +68,13 @@
 
 namespace citl::serve {
 
-inline constexpr char kJournalMagic[] = "citl-journal-v1";  // 15 chars
-inline constexpr std::uint8_t kJournalVersion = 1;
+inline constexpr char kJournalMagic[] = "citl-journal-v2";  // 15 chars
+inline constexpr std::uint8_t kJournalVersion = 2;
+/// The previous format (no preallocation), still read by scan_journal().
+inline constexpr char kJournalMagicV1[] = "citl-journal-v1";
+/// A journal grows in preallocated segments of this many bytes: disk use per
+/// session is its logical length rounded up to a whole segment.
+inline constexpr std::uint64_t kJournalSegmentBytes = 256 * 1024;
 /// Header bytes: magic (15) + version (1) + session id (4) + digest (8).
 inline constexpr std::size_t kJournalHeaderBytes = 28;
 /// A record claiming a larger payload is corrupt, not an allocation request.
@@ -112,30 +127,35 @@ struct JournalScan {
   std::uint64_t valid_bytes = 0;
 };
 
-/// Reads a journal file and returns its longest valid prefix. Throws
+/// Reads a v2 or v1 journal file and returns its longest valid prefix; an
+/// all-zero remainder after it is the clean end. Throws
 /// Error{kJournalCorrupt} only when the file is unusable from byte 0 — too
-/// short for a header, wrong magic, or an unsupported format version (the
-/// mixed-version case); anything after a valid header degrades to a
-/// truncated prefix with `corrupt` set instead of an exception.
+/// short for a header, wrong magic, or a version byte that does not match
+/// its magic (the mixed-version case); anything after a valid header
+/// degrades to a truncated prefix with `corrupt` set instead of an
+/// exception.
 [[nodiscard]] JournalScan scan_journal(const std::string& path);
 
-/// Appends fsync'd, chain-hashed records to one session's journal file.
-/// Default-constructed writers are disabled (journaling off): every call is a
-/// no-op, so call sites need no `if` forest.
+/// Appends synced, chain-hashed records to one session's journal file,
+/// sequentially with write() inside preallocated segments. Default-
+/// constructed writers are disabled (journaling off): every call is a no-op,
+/// so call sites need no `if` forest.
 ///
 /// append() is durable on return. write(), start_sync() and finish_sync()
-/// split the same work so the caller can run something while the fsync is in
-/// flight. The fsync then runs on the writer's own thread, started by the
+/// split the same work so the caller can run something while the sync is in
+/// flight. The sync then runs on the writer's own thread, started by the
 /// first start_sync() and joined before the file closes.
 class JournalWriter {
  public:
   JournalWriter();
-  /// Creates (truncating) `path` and writes the header. The header is not
-  /// synced on its own: the first record's sync makes both durable.
+  /// Creates (truncating) `path`, preallocates its first segment and writes
+  /// the header. The header is not synced on its own: the first record's
+  /// sync makes both durable.
   JournalWriter(const std::string& path, std::uint32_t session_id,
                 std::uint64_t config_digest);
-  /// Reopens an existing journal after scan_journal(): truncates the corrupt
-  /// tail (if any) and continues the record chain where the prefix ended.
+  /// Reopens an existing journal after scan_journal(): truncates to the
+  /// valid prefix (dropping a corrupt or zero tail), preallocates again and
+  /// continues the record chain in place. A v1 file keeps its v1 header.
   JournalWriter(const std::string& path, const JournalScan& scan);
   ~JournalWriter();
 
@@ -146,14 +166,14 @@ class JournalWriter {
 
   [[nodiscard]] bool enabled() const noexcept { return fd_ >= 0; }
 
-  /// Appends one record and fsyncs. Throws Error{kInternal} on I/O failure
-  /// (a session that cannot journal must not acknowledge mutations).
+  /// Appends one record and syncs it. Throws Error{kInternal} on I/O
+  /// failure (a session that cannot journal must not acknowledge mutations).
   void append(JournalRecordType type, const std::vector<std::uint8_t>& payload);
 
   /// Appends one record without syncing it. Throws Error{kInternal} on I/O
   /// failure.
   void write(JournalRecordType type, const std::vector<std::uint8_t>& payload);
-  /// Hands an fsync of everything written so far to the sync thread and
+  /// Hands a sync of everything written so far to the sync thread and
   /// returns at once.
   void start_sync();
   /// Waits for the sync start_sync() handed over, if one is in flight.
@@ -173,11 +193,15 @@ class JournalWriter {
   [[nodiscard]] std::uint64_t records_written() const noexcept {
     return records_;
   }
+  /// The logical length: header plus records, without the zero tail.
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
 
  private:
   class SyncThread;
 
+  /// Grows the file to whole segments covering `end` bytes, unless it
+  /// already does or preallocation failed before.
+  void preallocate(std::uint64_t end) noexcept;
   /// Marks the writer failed and throws Error{kInternal}.
   [[noreturn]] void fail(const std::string& what, int err);
   /// Throws Error{kInternal} if the writer failed earlier.
@@ -190,6 +214,8 @@ class JournalWriter {
   std::uint64_t chain_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
+  std::uint64_t allocated_ = 0;  ///< file size preallocation reached
+  bool preallocating_ = true;    ///< false once fallocate failed
   std::unique_ptr<SyncThread> sync_thread_;
   std::atomic<bool> failed_{false};
   std::string failure_;  ///< the first failure, repeated by later calls

@@ -80,7 +80,7 @@ struct SessionRuntime::Session {
     last_used_ns.store(steady_now_ns(), std::memory_order_relaxed);
   }
 
-  const std::uint32_t id;
+  std::uint32_t id;  ///< assigned before the session is published
   const api::SessionConfig api_config;
   const hil::TurnLoopConfig config;
 
@@ -225,13 +225,8 @@ std::shared_ptr<SessionRuntime::Session> SessionRuntime::build_session(
   return session;
 }
 
-std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
-                                     std::uint64_t nonce) {
-  // Validate first: a malformed config is kInvalidConfig (etc.) even when
-  // the pool is full, never an admission problem.
-  api::validate(config);
-
-  std::lock_guard<std::mutex> lk(sessions_mutex_);
+std::optional<std::uint32_t> SessionRuntime::admit_locked(
+    std::uint64_t nonce) {
   if (nonce != 0) {
     // A retried create (response lost, request re-sent) must not leak an
     // orphan session: the nonce identifies the original request.
@@ -246,9 +241,27 @@ std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
             std::to_string(config_.max_sessions) + " sessions live)",
         ErrorCode::kAdmissionRejected);
   }
+  return std::nullopt;
+}
+
+std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
+                                     std::uint64_t nonce) {
+  // Validate first: a malformed config is kInvalidConfig (etc.) even when
+  // the pool is full, never an admission problem.
+  api::validate(config);
+  {
+    std::lock_guard<std::mutex> lk(sessions_mutex_);
+    if (const auto known = admit_locked(nonce)) return *known;
+  }
   // The kernel compiles before the id is assigned, so a config the
-  // toolchain refuses never consumes an id or a journal file.
-  auto session = build_session(next_id_, config);
+  // toolchain refuses never consumes an id or a journal file. It compiles
+  // outside the lock, which every other session's requests take to find
+  // their session: a cold host compile takes a fraction of a second.
+  auto session = build_session(0, config);
+
+  std::lock_guard<std::mutex> lk(sessions_mutex_);
+  // Another create may have used the nonce or the last slot meanwhile.
+  if (const auto known = admit_locked(nonce)) return *known;
   const double aggregate = aggregate_occupancy_locked();
   if (aggregate + session->static_occupancy > config_.occupancy_budget) {
     admission_rejections_.add();
@@ -262,6 +275,7 @@ std::uint32_t SessionRuntime::create(const api::SessionConfig& config,
   }
 
   const std::uint32_t id = next_id_++;
+  session->id = id;
   session->create_nonce = nonce;
   if (!config_.state_dir.empty()) {
     session->journal = JournalWriter(journal_path(id), id,

@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,9 +66,9 @@ struct RuntimeConfig {
   std::uint32_t max_turns_per_step = 1u << 16;
   /// Checkpoint images retained per session (kOutOfRange beyond it).
   std::size_t max_snapshots_per_session = 16;
-  /// Directory for per-session citl-journal-v1 write-ahead journals. Empty =
+  /// Directory for per-session citl-journal-v2 write-ahead journals. Empty =
   /// journaling off (no durability). With a state_dir set, every mutating
-  /// request is journalled + fsync'd before it is acknowledged, and
+  /// request is journalled + synced before it is acknowledged, and
   /// recover() rebuilds the sessions found there bit-exactly.
   std::string state_dir;
   /// Turns between periodic journal checkpoint images (bounds replay time on
@@ -132,7 +133,8 @@ class SessionRuntime {
   /// api::to_turnloop_config / kernel compilation raises for a bad config.
   /// A non-zero `nonce` makes creation idempotent: re-sending the same nonce
   /// (a retried create after a dropped response) returns the already-created
-  /// session's id instead of creating an orphan.
+  /// session's id instead of creating an orphan. The kernel compiles without
+  /// the pool lock held, so other sessions' requests never wait for it.
   std::uint32_t create(const api::SessionConfig& config,
                        std::uint64_t nonce = 0);
   /// Destroys a session (kNotFound if absent) and deletes its journal. Safe
@@ -215,7 +217,12 @@ class SessionRuntime {
   [[nodiscard]] static double occupancy_estimate(const Session& s);
   /// Sum of estimates over live sessions. Caller holds sessions_mutex_.
   [[nodiscard]] double aggregate_occupancy_locked();
-  /// Builds (but does not admit) a session for `config` under `id`.
+  /// The session a create with `nonce` already made, if any; otherwise
+  /// throws kAdmissionRejected when the pool is full. Caller holds
+  /// sessions_mutex_.
+  [[nodiscard]] std::optional<std::uint32_t> admit_locked(std::uint64_t nonce);
+  /// Builds (but does not admit) a session for `config` under `id`. Takes no
+  /// runtime lock: it may wait on a cold host compile.
   [[nodiscard]] std::shared_ptr<Session> build_session(
       std::uint32_t id, const api::SessionConfig& config);
   /// Journal path of session `id` under config.state_dir.
