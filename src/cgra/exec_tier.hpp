@@ -5,10 +5,14 @@
 // results (the Codegen* and CgraFuzz* tests pin it per kernel and
 // precision):
 //
-//   kInterpreter — walk the dataflow graph node by node, dispatching on
-//                  OpKind, one tight loop over the lanes per node. Always
-//                  available; no toolchain dependency. (The cycle-accurate
-//                  mode and every lane-masked pass always interpret.)
+//   kInterpreter — run a plan decoded once at construction: one step per
+//                  node in topological order with its operand rows already
+//                  resolved to the value or pipeline-register bank,
+//                  dispatching on OpKind, one tight loop over the lanes per
+//                  step. The same arithmetic in the same order as a walk of
+//                  the graph, so the same bits. Always available; no
+//                  toolchain dependency. (Every lane-masked pass runs it;
+//                  the cycle-accurate mode walks the graph itself.)
 //   kNative      — straight-line C11 emitted from the dataflow graph (SIMD
 //                  over the SoA lanes), compiled by the host compiler,
 //                  dlopen'd and cached on disk (cgra/codegen.hpp); it runs
