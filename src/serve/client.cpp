@@ -318,14 +318,7 @@ std::vector<hil::TurnRecord> SessionClient::step(std::uint32_t session_id,
   const Frame resp = request(Opcode::kStep, session_id, w.take());
   step_seq_[session_id] = seq;
   WireReader r(resp.payload);
-  const std::uint32_t count = r.u32();
-  std::vector<hil::TurnRecord> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.push_back(decode_turn_record(r));
-  }
-  r.expect_end();
-  return out;
+  return decode_step_records(r);
 }
 
 void SessionClient::set_param(std::uint32_t session_id, std::string_view name,

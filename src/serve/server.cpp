@@ -29,11 +29,14 @@ namespace citl::serve {
 
 namespace {
 
-/// One client connection. Sockets are only ever read/written by the event
-/// loop thread; workers reach a connection exclusively through its outbox
-/// (mutex-guarded) and the loop's eventfd, so the fd lifecycle stays
-/// single-threaded. shared_ptr keeps a connection alive for workers that
-/// are still producing a response after the peer hung up.
+/// One client connection. The loop thread owns accept, read and close. A
+/// response is written by the thread that produced it, a step's worker or
+/// the loop, under out_mutex: straight to the socket when nothing is queued
+/// before it. Bytes the socket does not take wait in the outbox, and the
+/// loop arms EPOLLOUT for them. close_conn() closes the fd and sets `dead`
+/// under out_mutex, so no worker writes to a closed or reused descriptor.
+/// shared_ptr keeps a connection alive for workers that are still producing
+/// a response after the peer hung up.
 struct Connection {
   explicit Connection(int fd_) : fd(fd_) {}
   const int fd;
@@ -43,12 +46,15 @@ struct Connection {
   /// (steady ns), 0 while no frame is pending. The housekeeping tick closes
   /// connections whose partial frame outlives the read deadline.
   std::int64_t partial_since_ns = 0;
+  /// Loop thread only: EPOLLOUT is in the fd's epoll interest.
+  bool write_armed = false;
 
   std::mutex out_mutex;
-  std::vector<std::uint8_t> outbox;   ///< encoded, not yet written
+  std::vector<std::uint8_t> outbox;   ///< queued, not yet written; empty
+                                      ///< when nothing is queued
   std::size_t out_written = 0;        ///< prefix of outbox already sent
   bool close_after_flush = false;     ///< set after a framing error
-  bool dead = false;                  ///< loop removed the fd already
+  bool dead = false;                  ///< fd closed (set by the loop)
 
   /// Request dedupe (guarded by out_mutex): the most recent responses by
   /// request id, so a duplicated request re-sends its cached response
@@ -72,6 +78,51 @@ constexpr std::size_t kRespCacheDepth = 8;
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+enum class SendState { kDone, kBlocked, kBroken };
+
+/// Sends data[done, n) until all of it is out, the socket would block or the
+/// peer is gone; `done` advances by what was sent. MSG_NOSIGNAL: a peer that
+/// vanished mid-write yields EPIPE on this connection instead of a
+/// process-wide SIGPIPE.
+SendState send_from(int fd, const std::uint8_t* data, std::size_t n,
+                    std::size_t& done) {
+  while (done < n) {
+    const ssize_t k = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
+    if (k > 0) {
+      done += static_cast<std::size_t>(k);
+      continue;
+    }
+    if (k < 0 && errno == EINTR) continue;
+    if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return SendState::kBlocked;
+    }
+    return SendState::kBroken;  // EPIPE/ECONNRESET/EOF: this peer only
+  }
+  return SendState::kDone;
+}
+
+/// The one send routine of the loop and the workers. Caller holds
+/// out_mutex on a live connection. `frame` goes behind whatever is queued:
+/// straight to the socket when nothing is, otherwise after the outbox; the
+/// bytes the socket does not take stay in the outbox.
+SendState write_locked(Connection& conn, const std::uint8_t* frame,
+                       std::size_t n) {
+  if (conn.outbox.empty()) {
+    std::size_t sent = 0;
+    const SendState state = send_from(conn.fd, frame, n, sent);
+    if (state != SendState::kDone) conn.outbox.assign(frame + sent, frame + n);
+    return state;
+  }
+  if (n > 0) conn.outbox.insert(conn.outbox.end(), frame, frame + n);
+  const SendState state = send_from(conn.fd, conn.outbox.data(),
+                                    conn.outbox.size(), conn.out_written);
+  if (state == SendState::kDone) {
+    conn.outbox.clear();
+    conn.out_written = 0;
+  }
+  return state;
 }
 
 }  // namespace
@@ -112,8 +163,8 @@ struct SessionServer::Impl {
   // Owned by the loop thread exclusively.
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
 
-  // Connections with response bytes queued by a worker, to be flushed by
-  // the loop on the next eventfd wake.
+  // Connections on which a worker's send stopped short (EAGAIN or a dead
+  // peer), to be flushed or closed by the loop on the next eventfd wake.
   std::mutex pending_mutex;
   std::vector<std::shared_ptr<Connection>> pending;
 
@@ -136,14 +187,21 @@ struct SessionServer::Impl {
   void housekeep(std::int64_t now_ns);
   void accept_ready();
   void read_ready(const std::shared_ptr<Connection>& conn);
+  /// Loop thread: writes what the outbox holds, then closes the connection
+  /// or sets its EPOLLOUT interest by what is left.
   void flush(const std::shared_ptr<Connection>& conn);
   void close_conn(const std::shared_ptr<Connection>& conn);
-  void update_epoll_interest(const Connection& conn, bool want_write);
+  void set_write_interest(Connection& conn, bool want_write);
   void handle_frame(const std::shared_ptr<Connection>& conn, Frame frame);
-  void enqueue_response(const std::shared_ptr<Connection>& conn,
-                        const Frame& resp, bool from_loop);
+  /// Sends one encoded response frame and caches it under `request_id`. On
+  /// a worker (`on_loop` false), a send that stops short is handed to the
+  /// loop through the pending list.
+  void respond(const std::shared_ptr<Connection>& conn,
+               std::vector<std::uint8_t> frame, std::uint32_t request_id,
+               bool on_loop);
   void wake_loop();
-  [[nodiscard]] Frame execute(const Frame& req);
+  /// Runs one request; returns its encoded response frame.
+  [[nodiscard]] std::vector<std::uint8_t> execute(const Frame& req);
   void worker_main();
 };
 
@@ -319,6 +377,7 @@ void SessionServer::Impl::event_loop() {
   }
   // Shutdown: drop every connection.
   for (auto& [fd, conn] : conns) {
+    std::lock_guard<std::mutex> lk(conn->out_mutex);
     conn->dead = true;
     ::close(conn->fd);
   }
@@ -385,16 +444,13 @@ void SessionServer::Impl::read_ready(const std::shared_ptr<Connection>& conn) {
         // Framing error: best-effort typed error response, then close (the
         // stream offset can no longer be trusted).
         bad_frames.add();
-        Frame err;
-        err.status = e.code();
-        WireWriter w;
-        w.str(e.what());
-        err.payload = w.take();
+        FrameWriter err(Opcode::kHello, 0);
+        err.payload().str(e.what());
         {
           std::lock_guard<std::mutex> lk(conn->out_mutex);
           conn->close_after_flush = true;
         }
-        enqueue_response(conn, err, /*from_loop=*/true);
+        respond(conn, err.finish(e.code(), 0), 0, /*on_loop=*/true);
         return;
       }
       continue;
@@ -406,8 +462,10 @@ void SessionServer::Impl::read_ready(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void SessionServer::Impl::update_epoll_interest(const Connection& conn,
-                                                bool want_write) {
+void SessionServer::Impl::set_write_interest(Connection& conn,
+                                             bool want_write) {
+  if (conn.write_armed == want_write) return;
+  conn.write_armed = want_write;
   epoll_event ev{};
   ev.events = want_write ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
   ev.data.fd = conn.fd;
@@ -415,68 +473,54 @@ void SessionServer::Impl::update_epoll_interest(const Connection& conn,
 }
 
 void SessionServer::Impl::flush(const std::shared_ptr<Connection>& conn) {
+  SendState state = SendState::kDone;
   bool close_now = false;
-  bool want_write = false;
   {
     std::lock_guard<std::mutex> lk(conn->out_mutex);
-    while (conn->out_written < conn->outbox.size()) {
-      // MSG_NOSIGNAL: a peer that vanished mid-write yields EPIPE on *this*
-      // connection instead of a process-wide SIGPIPE.
-      const ssize_t n =
-          ::send(conn->fd, conn->outbox.data() + conn->out_written,
-                 conn->outbox.size() - conn->out_written, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->out_written += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        want_write = true;
-        break;
-      }
-      close_now = true;  // EPIPE/ECONNRESET/EOF: this peer only
-      break;
-    }
-    if (conn->out_written == conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->out_written = 0;
-      if (conn->close_after_flush) close_now = true;
-    }
+    if (conn->dead) return;
+    state = write_locked(*conn, nullptr, 0);
+    close_now = state == SendState::kBroken ||
+                (state == SendState::kDone && conn->close_after_flush);
   }
   if (close_now) {
     close_conn(conn);
     return;
   }
-  update_epoll_interest(*conn, want_write);
+  set_write_interest(*conn, state == SendState::kBlocked);
 }
 
 void SessionServer::Impl::close_conn(const std::shared_ptr<Connection>& conn) {
-  if (conn->dead) return;
-  conn->dead = true;
-  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
+  {
+    std::lock_guard<std::mutex> lk(conn->out_mutex);
+    if (conn->dead) return;
+    conn->dead = true;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    ::close(conn->fd);
+  }
   conns.erase(conn->fd);
   connections_closed.add();
 }
 
-void SessionServer::Impl::enqueue_response(
-    const std::shared_ptr<Connection>& conn, const Frame& resp,
-    bool from_loop) {
-  const std::vector<std::uint8_t> bytes = encode_frame(resp);
+void SessionServer::Impl::respond(const std::shared_ptr<Connection>& conn,
+                                  std::vector<std::uint8_t> frame,
+                                  std::uint32_t request_id, bool on_loop) {
+  SendState state = SendState::kDone;
   {
     std::lock_guard<std::mutex> lk(conn->out_mutex);
-    conn->outbox.insert(conn->outbox.end(), bytes.begin(), bytes.end());
-    if (resp.request_id != 0) {
-      conn->in_flight.erase(resp.request_id);
-      conn->resp_cache.emplace_back(resp.request_id, bytes);
+    if (!conn->dead) state = write_locked(*conn, frame.data(), frame.size());
+    if (request_id != 0) {
+      // The bytes just sent are the bytes a duplicate gets: no copy.
+      conn->in_flight.erase(request_id);
+      conn->resp_cache.emplace_back(request_id, std::move(frame));
       if (conn->resp_cache.size() > kRespCacheDepth) {
         conn->resp_cache.pop_front();
       }
     }
   }
   frames_sent.add();
-  if (from_loop) {
-    if (!conn->dead) flush(conn);
-  } else {
+  if (on_loop) {
+    flush(conn);
+  } else if (state != SendState::kDone) {
     {
       std::lock_guard<std::mutex> lk(pending_mutex);
       pending.push_back(conn);
@@ -485,14 +529,14 @@ void SessionServer::Impl::enqueue_response(
   }
 }
 
-Frame SessionServer::Impl::execute(const Frame& req) {
-  Frame resp;
-  resp.opcode = req.opcode;
-  resp.request_id = req.request_id;
-  resp.session_id = req.session_id;
+std::vector<std::uint8_t> SessionServer::Impl::execute(const Frame& req) {
+  FrameWriter out(req.opcode, req.request_id);
+  std::uint32_t session_id = req.session_id;
+  ErrorCode status = ErrorCode::kInternal;
+  std::string message;
   try {
     WireReader r(req.payload);
-    WireWriter w;
+    WireWriter& w = out.payload();
     switch (req.opcode) {
       case Opcode::kHello: {
         r.expect_end();
@@ -505,7 +549,7 @@ Frame SessionServer::Impl::execute(const Frame& req) {
         const std::uint64_t nonce = r.remaining() == 8 ? r.u64() : 0;
         r.expect_end();
         const std::uint32_t id = runtime.create(session_config, nonce);
-        resp.session_id = id;
+        session_id = id;
         const SessionInfo info = runtime.info(id);
         w.u32(info.schedule_length);
         w.f64(info.budget_cycles);
@@ -549,10 +593,17 @@ Frame SessionServer::Impl::execute(const Frame& req) {
         // Optional u64 tail: exactly-once step sequence number.
         const std::uint64_t step_seq = r.remaining() == 8 ? r.u64() : 0;
         r.expect_end();
-        const std::vector<hil::TurnRecord> records =
-            runtime.step(req.session_id, turns, step_seq);
-        w.u32(static_cast<std::uint32_t>(records.size()));
-        for (const auto& rec : records) encode_turn_record(w, rec);
+        // The records must fit one response frame: refuse a longer step
+        // before the runtime runs or journals it.
+        if (turns > kMaxStepTurns) {
+          throw ConfigError(
+              "step of " + std::to_string(turns) + " turns exceeds the " +
+                  std::to_string(kMaxStepTurns) +
+                  " records one citl-wire-v1 response frame holds "
+                  "(kMaxFrameBytes)",
+              ErrorCode::kOutOfRange);
+        }
+        encode_step_records(w, runtime.step(req.session_id, turns, step_seq));
         break;
       }
       case Opcode::kAttachSession: {
@@ -598,20 +649,17 @@ Frame SessionServer::Impl::execute(const Frame& req) {
                         std::to_string(static_cast<int>(req.opcode)),
                     ErrorCode::kBadFrame);
     }
-    resp.status = ErrorCode::kOk;
-    resp.payload = w.take();
+    return out.finish(ErrorCode::kOk, session_id);
   } catch (const Error& e) {
-    resp.status = e.code();
-    WireWriter w;
-    w.str(e.what());
-    resp.payload = w.take();
+    status = e.code();
+    message = e.what();
   } catch (const std::exception& e) {
-    resp.status = ErrorCode::kInternal;
-    WireWriter w;
-    w.str(e.what());
-    resp.payload = w.take();
+    status = ErrorCode::kInternal;
+    message = e.what();
   }
-  return resp;
+  out.clear_payload();
+  out.payload().str(message);
+  return out.finish(status, session_id);
 }
 
 void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -625,7 +673,7 @@ void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
       std::lock_guard<std::mutex> lk(conn->out_mutex);
       for (const auto& [id, bytes] : conn->resp_cache) {
         if (id == frame.request_id) {
-          conn->outbox.insert(conn->outbox.end(), bytes.begin(), bytes.end());
+          write_locked(*conn, bytes.data(), bytes.size());
           resend = true;
           break;
         }
@@ -638,7 +686,7 @@ void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
     if (resend) {
       duplicate_requests.add();
       frames_sent.add();
-      if (!conn->dead) flush(conn);
+      flush(conn);
       return;
     }
   }
@@ -646,7 +694,7 @@ void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
     // The only request whose cost scales with its argument: run it on a
     // worker so a long step cannot stall other clients' round trips.
     auto task = [this, conn, frame = std::move(frame)]() {
-      enqueue_response(conn, execute(frame), /*from_loop=*/false);
+      respond(conn, execute(frame), frame.request_id, /*on_loop=*/false);
     };
     {
       std::lock_guard<std::mutex> lk(queue_mutex);
@@ -655,7 +703,7 @@ void SessionServer::Impl::handle_frame(const std::shared_ptr<Connection>& conn,
     queue_cv.notify_one();
     return;
   }
-  enqueue_response(conn, execute(frame), /*from_loop=*/true);
+  respond(conn, execute(frame), frame.request_id, /*on_loop=*/true);
 }
 
 void SessionServer::Impl::worker_main() {

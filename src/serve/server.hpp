@@ -1,15 +1,21 @@
 // SessionServer: the citl-wire-v1 endpoint in front of a SessionRuntime.
 //
-// One epoll event-loop thread owns every socket: it accepts connections on
-// a loopback listener, splits the inbound byte stream into frames
-// (serve::FrameParser), executes cheap operations inline, and hands kStep
-// requests — the only operation whose cost scales with its argument — to a
-// small worker pool so one client stepping 65k turns cannot stall another
-// client's create/get/stats round trip. Workers never touch sockets: they
-// append the encoded response to the connection's outbox and ring the event
-// loop's eventfd; all reads and writes happen on the loop thread, which
-// keeps the socket lifecycle single-threaded (the same discipline as
-// obs::ScrapeServer, grown an event loop).
+// One epoll event-loop thread owns every socket's lifecycle: it accepts
+// connections on a loopback listener, reads and splits the inbound byte
+// stream into frames (serve::FrameParser), executes cheap operations inline,
+// and closes connections. kStep requests — the only operation whose cost
+// scales with its argument, up to kMaxStepTurns (21845) turns, the most one
+// response frame holds — go to a small worker pool, so one long step cannot
+// stall another client's create/get/stats round trip.
+//
+// A response is encoded once, straight into its frame, and written by the
+// thread that produced it: a step's worker sends its own response when the
+// connection has nothing queued, under the connection's out_mutex. Whatever
+// the socket does not take (EAGAIN) or a failed send goes to the loop
+// through a pending list and an eventfd; the loop finishes it behind an
+// EPOLLOUT interest, which it re-arms only when the interest changes. The
+// loop closes a connection under the same mutex and marks it dead, so no
+// worker ever writes to a closed or reused descriptor.
 //
 // Error handling mirrors the library exactly: a handler failure is caught,
 // classified by its citl::ErrorCode, and returned as a response frame whose

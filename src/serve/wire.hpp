@@ -42,6 +42,13 @@ inline constexpr std::size_t kHeaderBytes = 12;
 /// Upper bound on the length prefix: a frame claiming more is malformed
 /// (kBadFrame), not a request to allocate 4 GiB.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
+/// Bytes of one TurnRecord on the wire: six binary64 bit patterns.
+inline constexpr std::size_t kTurnRecordBytes = 48;
+/// Most records one kStep response carries: its header, its u32 count and
+/// the records fill at most kMaxFrameBytes, so 21845. A longer step is
+/// refused (kOutOfRange) before it runs.
+inline constexpr std::uint32_t kMaxStepTurns = static_cast<std::uint32_t>(
+    (kMaxFrameBytes - kHeaderBytes - 4) / kTurnRecordBytes);
 
 /// Request/response operations. Wire-stable like ErrorCode: never renumber,
 /// only append.
@@ -100,7 +107,8 @@ class FrameParser {
   std::size_t consumed_ = 0;  ///< bytes of buf_ already handed out
 };
 
-/// Append-only little-endian payload builder.
+/// Append-only little-endian payload builder. Each field is one append of
+/// its little-endian bytes.
 class WireWriter {
  public:
   void u8(std::uint8_t v);
@@ -111,13 +119,36 @@ class WireWriter {
   void f64(double v);
   /// u32 length + bytes, no terminator.
   void str(std::string_view s);
+  /// `n` bytes as they are.
+  void raw(const std::uint8_t* data, std::size_t n);
+  /// Room for `n` more bytes, so the appends that follow do not reallocate.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return buf_;
   }
 
  private:
+  friend class FrameWriter;
   std::vector<std::uint8_t> buf_;
+};
+
+/// A frame encoded in place: the constructor writes the length prefix and
+/// the header, payload() appends behind them, and finish() fills in the
+/// length, status and session id. The bytes equal encode_frame() of the same
+/// Frame, with no separate payload to copy.
+class FrameWriter {
+ public:
+  FrameWriter(Opcode opcode, std::uint32_t request_id);
+  [[nodiscard]] WireWriter& payload() noexcept { return w_; }
+  /// Drops the payload written so far (an error message replaces it).
+  void clear_payload();
+  /// The finished frame. Throws Error{kBadFrame} past kMaxFrameBytes.
+  [[nodiscard]] std::vector<std::uint8_t> finish(ErrorCode status,
+                                                 std::uint32_t session_id);
+
+ private:
+  WireWriter w_;
 };
 
 /// Bounds-checked little-endian payload reader. Reading past the end (a
@@ -136,6 +167,8 @@ class WireReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// The next `n` bytes, bounds-checked once; the reader moves past them.
+  [[nodiscard]] const std::uint8_t* raw(std::size_t n);
   [[nodiscard]] std::size_t remaining() const noexcept { return len_ - pos_; }
   /// Trailing bytes after the fields a decoder consumed are malformed input.
   void expect_end() const;
@@ -154,8 +187,16 @@ class WireReader {
 void encode_session_config(WireWriter& w, const api::SessionConfig& config);
 [[nodiscard]] api::SessionConfig decode_session_config(WireReader& r);
 
-/// TurnRecord as 6 consecutive binary64 bit patterns (48 bytes).
+/// TurnRecord as 6 consecutive binary64 bit patterns (48 bytes), written
+/// as one append and read after one bounds check.
 void encode_turn_record(WireWriter& w, const hil::TurnRecord& rec);
 [[nodiscard]] hil::TurnRecord decode_turn_record(WireReader& r);
+
+/// kStep response payload: u32 count, then the records. The encoder sizes
+/// the writer for all of them first; the decoder checks once that the rest
+/// of the payload is exactly count records (kBadFrame otherwise).
+void encode_step_records(WireWriter& w,
+                         const std::vector<hil::TurnRecord>& records);
+[[nodiscard]] std::vector<hil::TurnRecord> decode_step_records(WireReader& r);
 
 }  // namespace citl::serve
