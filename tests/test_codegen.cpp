@@ -706,18 +706,19 @@ TEST(CodegenOracle, SerialVsBatchedAgreeOnNativeEngine) {
   EXPECT_EQ(rep.max_ulp_err, 0.0);
 }
 
-TEST(CodegenOracle, BisectionFindsPoisonedConstantOnNativeEngine) {
+TEST(CodegenOracle, StridedScanFindsPoisonedConstantOnNativeEngine) {
   if (!native_available()) {
     GTEST_SKIP() << "no host compiler: native tier unavailable";
   }
-  // A one-ULP poisoned constant on the candidate side, both sides running
-  // the native tier: the bisection machinery (checkpoint, rollback, scan)
-  // must localise the first divergent turn on compiled machines too.
+  // A one-ULP poisoned sample-rate literal on the candidate side, both
+  // sides running the native tier: the checkpoint, the rollback and the
+  // scan must localise the first divergent turn on compiled machines too.
+  // It lies past the first windows (turn 344, as on the interpreter), so
+  // the strided run restores the checkpoint at turn 320.
   const hil::TurnLoopConfig tl = paper_loop(ExecTier::kNative);
   const hil::TurnLoop probe(tl);
   auto perturbed = std::make_shared<const CompiledKernel>(
-      oracle::perturb_kernel_constant(probe.kernel(),
-                                      tl.kernel.ring.circumference_m,
+      oracle::perturb_kernel_constant(probe.kernel(), tl.kernel.sample_rate_hz,
                                       Precision::kFloat32));
   oracle::OracleConfig oc;
   oc.reference = oracle::Fidelity::kSerialF32;
@@ -726,10 +727,13 @@ TEST(CodegenOracle, BisectionFindsPoisonedConstantOnNativeEngine) {
   oc.turns = 1200;
   oc.checkpoint_stride = 64;
   oc.shrink = false;
-  const oracle::OracleReport rep = run_oracle(tl, oc);
-  ASSERT_TRUE(rep.diverged);
-  EXPECT_GE(rep.first_divergent_turn, 0);
-  EXPECT_EQ(rep.first_divergent_turn, rep.bisected_turn);
+  const oracle::OracleReport strided = run_oracle(tl, oc);
+  oc.checkpoint_stride = 1;
+  const oracle::OracleReport dense = run_oracle(tl, oc);
+  ASSERT_TRUE(strided.diverged);
+  ASSERT_TRUE(dense.diverged);
+  EXPECT_EQ(strided.first_divergent_turn, 344);
+  EXPECT_EQ(dense.first_divergent_turn, 344);
 }
 
 // --- the sweep engine on the native tier ------------------------------------

@@ -1,4 +1,4 @@
-// IO helpers: CSV, console tables, ASCII plots, traces, parameter bus.
+// IO helpers: CSV, JSON, console tables, ASCII plots, traces, parameter bus.
 #include <gtest/gtest.h>
 
 #include <clocale>
@@ -307,6 +307,21 @@ TEST(Csv, ParseHandlesMissingTrailingNewline) {
   const auto rows = io::parse_csv("a,b\n1,2");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
+}
+
+TEST(Json, CharPointersAreStringsAndBoolsStayBools) {
+  // A literal or a const char* must not take the bool overload: a pointer
+  // converts to bool by a standard conversion, ahead of string_view.
+  const char* name = "serial_f32";
+  io::JsonWriter w;
+  w.begin_object();
+  w.key("schema").value("citl-oracle-repro-v1");
+  w.key("candidate").value(name);
+  w.key("shrink").value(true);
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            R"({"schema":"citl-oracle-repro-v1","candidate":"serial_f32",)"
+            R"("shrink":true})");
 }
 
 TEST(TableTest, AlignedRender) {

@@ -1,13 +1,16 @@
 // The cross-fidelity differential oracle: ULP machinery, tolerance budgets,
-// fidelity agreement, divergence bisection, scenario shrinking and the repro
+// fidelity agreement, the divergence scan, scenario shrinking and the repro
 // artifact round trip. Every suite name starts with "Oracle" so CI can run
 // the subsystem alone with --gtest_filter='Oracle*'.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 #include "core/units.hpp"
@@ -237,8 +240,6 @@ TEST(Oracle, PerturbedKernelYieldsMinimalRepro) {
   const OracleReport rep = run_oracle(tl, oc);
   ASSERT_TRUE(rep.diverged);
   ASSERT_GE(rep.first_divergent_turn, 0);
-  // Bisection (rollback probes) and the exhaustive scan agree on the turn.
-  EXPECT_EQ(rep.bisected_turn, rep.first_divergent_turn);
   ASSERT_FALSE(rep.divergences.empty());
   EXPECT_GT(rep.max_ulp_err, 0.0);
 
@@ -265,33 +266,75 @@ TEST(Oracle, PerturbedKernelYieldsMinimalRepro) {
     if (trace[i].turn == rep.first_divergent_turn) has_divergent_row = true;
   }
   EXPECT_TRUE(has_divergent_row);
+
+  // The JSON names its schema and the fidelity pair as strings.
+  std::ifstream in(rep.artifact_json, std::ios::binary);
+  ASSERT_TRUE(in) << rep.artifact_json;
+  std::ostringstream json;
+  json << in.rdbuf();
+  for (const char* field :
+       {R"("schema":"citl-oracle-repro-v1")", R"("reference":"serial_f32")",
+        R"("candidate":"serial_f32")"}) {
+    EXPECT_NE(json.str().find(field), std::string::npos)
+        << field << " missing from " << json.str();
+  }
 }
 
-TEST(Oracle, BisectionAgreesWithDenseComparison) {
-  // Same perturbed pair twice — once strided with rollback bisection, once
-  // comparing every turn — must name the same first divergent turn.
+TEST(Oracle, StridedScanAgreesWithDenseComparison) {
+  // The same perturbed pair strided (rolled back to the last clean
+  // checkpoint, then scanned) and dense (every turn compared) must report
+  // the same first divergent turn, trace rows and divergences. The
+  // circumference literal diverges at turn 0, inside the first window; the
+  // sample-rate literal first diverges at turn 344, so stride 64 scans from
+  // the checkpoint at turn 320 and stride 128 from the one at turn 256.
+  // Histograms are not compared: strided mode also samples window ends.
   const hil::TurnLoopConfig tl = paper_loop();
   const hil::TurnLoop probe(tl);
-  auto perturbed = std::make_shared<cgra::CompiledKernel>(
-      perturb_kernel_constant(probe.kernel(), tl.kernel.ring.circumference_m,
-                              cgra::Precision::kFloat32));
+  struct Case {
+    double literal;
+    std::int64_t first_divergent_turn;
+  };
+  for (const Case& c : {Case{tl.kernel.ring.circumference_m, 0},
+                        Case{tl.kernel.sample_rate_hz, 344}}) {
+    SCOPED_TRACE(c.literal);
+    OracleConfig oc;
+    oc.reference = Fidelity::kSerialF32;
+    oc.candidate = Fidelity::kSerialF32;
+    oc.candidate_kernel = std::make_shared<cgra::CompiledKernel>(
+        perturb_kernel_constant(probe.kernel(), c.literal,
+                                cgra::Precision::kFloat32));
+    oc.turns = 2000;
+    oc.shrink = false;
+    oc.checkpoint_stride = 1;
+    const OracleReport dense = run_oracle(tl, oc);
+    ASSERT_TRUE(dense.diverged);
+    EXPECT_EQ(dense.first_divergent_turn, c.first_divergent_turn);
 
-  OracleConfig oc;
-  oc.reference = Fidelity::kSerialF32;
-  oc.candidate = Fidelity::kSerialF32;
-  oc.candidate_kernel = perturbed;
-  oc.turns = 1500;
-  oc.shrink = false;
-
-  oc.checkpoint_stride = 128;
-  const OracleReport strided = run_oracle(tl, oc);
-  oc.checkpoint_stride = 1;
-  const OracleReport dense = run_oracle(tl, oc);
-
-  ASSERT_TRUE(strided.diverged);
-  ASSERT_TRUE(dense.diverged);
-  EXPECT_EQ(strided.first_divergent_turn, dense.first_divergent_turn);
-  EXPECT_EQ(strided.bisected_turn, dense.bisected_turn);
+    for (const std::int64_t stride : {64, 128}) {
+      SCOPED_TRACE(stride);
+      oc.checkpoint_stride = stride;
+      const OracleReport strided = run_oracle(tl, oc);
+      ASSERT_TRUE(strided.diverged);
+      EXPECT_EQ(strided.first_divergent_turn, dense.first_divergent_turn);
+      ASSERT_EQ(strided.trace.size(), dense.trace.size());
+      for (std::size_t i = 0; i < dense.trace.size(); ++i) {
+        EXPECT_EQ(strided.trace[i].turn, dense.trace[i].turn);
+        EXPECT_EQ(strided.trace[i].expected, dense.trace[i].expected);
+        EXPECT_EQ(strided.trace[i].actual, dense.trace[i].actual);
+        EXPECT_EQ(strided.trace[i].ulp, dense.trace[i].ulp);
+      }
+      ASSERT_EQ(strided.divergences.size(), dense.divergences.size());
+      for (std::size_t i = 0; i < dense.divergences.size(); ++i) {
+        EXPECT_EQ(strided.divergences[i].name, dense.divergences[i].name);
+        EXPECT_EQ(strided.divergences[i].expected,
+                  dense.divergences[i].expected);
+        EXPECT_EQ(strided.divergences[i].actual, dense.divergences[i].actual);
+        EXPECT_EQ(strided.divergences[i].ulp, dense.divergences[i].ulp);
+        EXPECT_EQ(strided.divergences[i].abs_diff,
+                  dense.divergences[i].abs_diff);
+      }
+    }
+  }
 }
 
 TEST(Oracle, FaultScenarioForcesDenseComparisonAndStillAgrees) {

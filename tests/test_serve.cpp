@@ -885,6 +885,71 @@ TEST(ServeServer, RetiredTierByteIsRefusedWithoutSessionOrJournal) {
   EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
 
+TEST(ServeServer, StateWritesAndControlTogglesMatchInProcess) {
+  // kSetState and kEnableControl through SessionClient against a journaled
+  // server: displace the bunch, open the loop, step, close it, step again.
+  // The same sequence on an in-process runtime gives the same records.
+  const std::string dir = ::testing::TempDir() + "citl_serve_state_control";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  serve::ServerConfig sc;
+  sc.runtime.state_dir = dir;
+  ServedPair pair(sc);
+  serve::SessionRuntime runtime;
+
+  const api::SessionConfig config = quiet_point();
+  const std::uint32_t id = pair.client->create(config).session_id;
+  const std::uint32_t rid = runtime.create(config);
+
+  pair.client->set_state(id, "dt0", 2.5e-9);
+  runtime.set_state(rid, "dt0", 2.5e-9);
+  EXPECT_TRUE(
+      bit_equal(pair.client->state(id, "dt0"), runtime.state(rid, "dt0")));
+
+  std::vector<hil::TurnRecord> wire, local;
+  const auto step_both = [&](std::uint32_t turns) {
+    const auto w = pair.client->step(id, turns);
+    const auto l = runtime.step(rid, turns);
+    wire.insert(wire.end(), w.begin(), w.end());
+    local.insert(local.end(), l.begin(), l.end());
+  };
+  pair.client->enable_control(id, false);
+  runtime.enable_control(rid, false);
+  step_both(200);
+  pair.client->enable_control(id, true);
+  runtime.enable_control(rid, true);
+  step_both(300);
+  expect_bit_identical(wire, local);
+
+  // Both writes took effect: the displaced bunch leaves the undisturbed
+  // trajectory, and the open loop applied no correction.
+  ASSERT_EQ(local.size(), 500u);
+  EXPECT_FALSE(records_bit_equal(local[0], serial_replay(config, 1)[0]));
+  bool corrected = false;
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    if (i < 200) {
+      EXPECT_EQ(local[i].correction_hz, 0.0) << "open loop at turn " << i;
+    } else {
+      corrected = corrected || local[i].correction_hz != 0.0;
+    }
+  }
+  EXPECT_TRUE(corrected);
+
+  // An unknown state name is kUnknownKey on both paths.
+  try {
+    pair.client->set_state(id, "no_such_state", 1.0);
+    FAIL() << "unknown state written over the wire";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnknownKey);
+  }
+  try {
+    runtime.set_state(rid, "no_such_state", 1.0);
+    FAIL() << "unknown state written in-process";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnknownKey);
+  }
+}
+
 TEST(ServeServer, AdmissionRejectionCrossesTheWire) {
   serve::ServerConfig config;
   config.runtime.max_sessions = 1;
