@@ -36,6 +36,9 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(bool v);
   JsonWriter& value(std::string_view v);
+  /// A literal or C string is a string: without this overload the pointer
+  /// would convert to bool (a standard conversion) ahead of string_view.
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
 
   [[nodiscard]] const std::string& str() const noexcept { return out_; }
 

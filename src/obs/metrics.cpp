@@ -117,7 +117,7 @@ std::string Registry::json() const {
       if (i < h->bounds().size()) {
         w.key("le").value(h->bounds()[i]);
       } else {
-        w.key("le").value(std::string_view("inf"));
+        w.key("le").value("inf");
       }
       w.key("count").value(static_cast<std::uint64_t>(h->bucket_count(i)));
       w.end_object();

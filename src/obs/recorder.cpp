@@ -134,7 +134,7 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
   const std::vector<FlightEvent> events = snapshot();
   io::JsonWriter w;
   w.begin_object();
-  w.key("format").value(std::string_view("citl-blackbox-v1"));
+  w.key("format").value("citl-blackbox-v1");
   w.key("reason").value(reason);
   w.key("event_count").value(static_cast<std::uint64_t>(events.size()));
   w.key("dropped").value(dropped());
@@ -143,7 +143,7 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
   for (const FlightEvent& e : events) {
     w.begin_object();
     w.key("seq").value(e.seq);
-    w.key("kind").value(std::string_view(event_kind_name(e.kind)));
+    w.key("kind").value(event_kind_name(e.kind));
     w.key("turn").value(static_cast<std::int64_t>(e.turn));
     w.key("time_s").value(e.time_s);
     w.key("a").value(e.a);

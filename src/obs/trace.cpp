@@ -39,12 +39,6 @@ void Tracer::push(std::string_view name, char phase, std::uint64_t ts_ns,
       TraceEvent{std::string(name), phase, ts_ns, dur_ns, value});
 }
 
-void Tracer::complete(std::string_view name, std::uint64_t ts_ns,
-                      std::uint64_t dur_ns) {
-  if (!enabled()) return;
-  push(name, 'X', ts_ns, dur_ns, 0.0);
-}
-
 void Tracer::instant(std::string_view name) {
   if (!enabled()) return;
   push(name, 'i', now_ns(), 0, 0.0);
@@ -82,8 +76,8 @@ std::string Tracer::json() const {
     std::lock_guard buf_lock(buf->mutex);
     // Thread-name metadata so Perfetto labels the track.
     w.begin_object();
-    w.key("name").value(std::string_view("thread_name"));
-    w.key("ph").value(std::string_view("M"));
+    w.key("name").value("thread_name");
+    w.key("ph").value("M");
     w.key("pid").value(std::uint64_t{1});
     w.key("tid").value(static_cast<std::uint64_t>(buf->tid));
     w.key("args").begin_object();
@@ -94,7 +88,7 @@ std::string Tracer::json() const {
     for (const auto& e : buf->events) {
       w.begin_object();
       w.key("name").value(std::string_view(e.name));
-      w.key("cat").value(std::string_view("citl"));
+      w.key("cat").value("citl");
       w.key("ph").value(std::string_view(&e.phase, 1));
       w.key("pid").value(std::uint64_t{1});
       w.key("tid").value(static_cast<std::uint64_t>(buf->tid));
@@ -107,13 +101,13 @@ std::string Tracer::json() const {
         w.key("value").value(e.value);
         w.end_object();
       } else if (e.phase == 'i') {
-        w.key("s").value(std::string_view("t"));
+        w.key("s").value("t");
       }
       w.end_object();
     }
   }
   w.end_array();
-  w.key("displayTimeUnit").value(std::string_view("ms"));
+  w.key("displayTimeUnit").value("ms");
   w.end_object();
   return w.str();
 }
