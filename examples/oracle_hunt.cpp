@@ -14,7 +14,7 @@
 //
 // The second act is the self-test: one kernel constant (the ring
 // circumference literal) is nudged by a single binary32 ULP and the oracle
-// is pointed at the perturbed kernel. It must catch the divergence, bisect
+// is pointed at the perturbed kernel. It must catch the divergence, find
 // the first divergent turn, shrink the scenario and (with --artifacts) emit
 // a self-contained repro artifact.
 //
@@ -170,8 +170,8 @@ int main(int argc, char** argv) {
   }
 
   if (perturb_demo) {
-    // Self-test: a one-ULP nudge of the circumference literal must be caught,
-    // bisected to its first divergent turn and shrunk to a minimal repro.
+    // Self-test: a one-ULP nudge of the circumference literal must be caught
+    // at its first divergent turn and shrunk to a minimal repro.
     hil::TurnLoopConfig tl = base;
     tl.jumps = ctrl::PhaseJumpProgramme(deg_to_rad(8.0), 1.0, 0.2e-3);
     const hil::TurnLoop probe(tl);
@@ -197,10 +197,8 @@ int main(int argc, char** argv) {
       std::printf("  FAILED: oracle missed the perturbed kernel\n");
       exit_code = 1;
     } else {
-      std::printf("  caught: first divergent turn %lld (bisected %lld), "
-                  "max ulp %.3g\n",
+      std::printf("  caught: first divergent turn %lld, max ulp %.3g\n",
                   static_cast<long long>(rep.first_divergent_turn),
-                  static_cast<long long>(rep.bisected_turn),
                   rep.max_ulp_err);
       for (const auto& d : rep.divergences) {
         std::printf("  %-10s expected %.17g actual %.17g (%llu ulp)\n",

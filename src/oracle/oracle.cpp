@@ -314,7 +314,6 @@ void write_artifacts(OracleReport& report,
 
   w.key("divergence").begin_object();
   w.key("first_divergent_turn").value(report.first_divergent_turn);
-  w.key("bisected_turn").value(report.bisected_turn);
   w.key("max_ulp_err").value(report.max_ulp_err);
   w.key("quantities").begin_array();
   for (const QuantityDivergence& d : report.divergences) {
@@ -353,10 +352,6 @@ void write_artifacts(OracleReport& report,
 }
 
 }  // namespace
-
-const char* quantity_name(std::size_t q) noexcept {
-  return q < kQuantityCount ? kQuantityNames[q] : "?";
-}
 
 OracleReport run_oracle(const hil::TurnLoopConfig& loop_config,
                         const OracleConfig& oracle_config) {
@@ -404,141 +399,79 @@ OracleReport run_oracle(const hil::TurnLoopConfig& loop_config,
       checkpointable ? std::max<std::int64_t>(1, oracle_config.checkpoint_stride)
                      : 1;
 
-  auto make_reference = [&] {
-    return std::make_unique<FidelityRun>(oracle_config.reference, loop_config,
-                                         kernel, oracle_config.batch_lanes);
-  };
-  auto make_candidate = [&] {
-    return std::make_unique<FidelityRun>(oracle_config.candidate, loop_config,
-                                         candidate_kernel,
-                                         oracle_config.batch_lanes);
-  };
-
   OracleReport report;
   report.minimal_config = loop_config;
   report.minimal_turns = oracle_config.turns;
 
-  auto reference = make_reference();
-  auto candidate = make_candidate();
+  FidelityRun reference(oracle_config.reference, loop_config, kernel,
+                        oracle_config.batch_lanes);
+  FidelityRun candidate(oracle_config.candidate, loop_config, candidate_kernel,
+                        oracle_config.batch_lanes);
 
-  std::int64_t detect_turn = -1;  ///< 0-based turn of the failing comparison
-  TurnCmp detect_cmp{};
+  TurnCmp detect_cmp{};  ///< comparison at first_divergent_turn
 
-  if (stride == 1) {
-    // Dense mode: compare every turn; detection IS the exact answer, and the
-    // rolling window doubles as the trace head.
-    for (std::int64_t t = 0; t < oracle_config.turns; ++t) {
-      const hil::TurnRecord er = reference->step();
-      const hil::TurnRecord ar = candidate->step();
-      const TurnCmp cmp = compare_turn(er, reference->gamma(), ar,
-                                       candidate->gamma(), budget, f32_domain);
-      report.turns_run = t + 1;
-      if (detect_turn < 0) {
+  // The one search for the first divergent turn: compares every turn from
+  // `from`, the turn both fidelities stand at. Every turn up to and
+  // including the first out-of-budget one enters the histogram and the
+  // rolling trace head; kTraceAfter rows past it complete the trace.
+  auto scan = [&](std::int64_t from) {
+    for (std::int64_t t = from; t < oracle_config.turns; ++t) {
+      const hil::TurnRecord er = reference.step();
+      const hil::TurnRecord ar = candidate.step();
+      const TurnCmp cmp = compare_turn(er, reference.gamma(), ar,
+                                       candidate.gamma(), budget, f32_domain);
+      if (report.first_divergent_turn < 0) {
         for (const QuantityCmp& q : cmp) report.histogram.add(q.ulp);
         report.trace.push_back(make_row(t, cmp));
         if (report.trace.size() > static_cast<std::size_t>(kTraceBefore + 1)) {
           report.trace.erase(report.trace.begin());
         }
         if (any_fail(cmp)) {
-          detect_turn = t;
+          report.first_divergent_turn = t;
           detect_cmp = cmp;
         }
       } else {
         report.trace.push_back(make_row(t, cmp));
-        if (t - detect_turn >= kTraceAfter) break;
+        if (t - report.first_divergent_turn >= kTraceAfter) break;
       }
     }
-    report.first_divergent_turn = detect_turn;
-    report.bisected_turn = detect_turn;
+  };
+
+  if (stride == 1) {
+    scan(0);
   } else {
     // Strided mode: compare only at window ends, checkpointing every clean
-    // boundary; a failing window is bisected with rollback probes and then
-    // confirmed with a turn-by-turn scan from the last clean checkpoint.
-    FidelityRun::Snapshot ref_cp = reference->snapshot();
-    FidelityRun::Snapshot cand_cp = candidate->snapshot();
+    // boundary. A failing window end rolls both fidelities back to the last
+    // clean checkpoint (bit-exact: the image carries states and pipeline
+    // registers) and the scan finds the turn from there.
+    FidelityRun::Snapshot ref_cp = reference.snapshot();
+    FidelityRun::Snapshot cand_cp = candidate.snapshot();
     std::int64_t ck_turn = 0;
 
     for (std::int64_t t = 0; t < oracle_config.turns; ++t) {
-      const hil::TurnRecord er = reference->step();
-      const hil::TurnRecord ar = candidate->step();
-      report.turns_run = t + 1;
+      const hil::TurnRecord er = reference.step();
+      const hil::TurnRecord ar = candidate.step();
       const bool boundary =
           ((t + 1) % stride == 0) || (t == oracle_config.turns - 1);
       if (!boundary) continue;
-      const TurnCmp cmp = compare_turn(er, reference->gamma(), ar,
-                                       candidate->gamma(), budget, f32_domain);
+      const TurnCmp cmp = compare_turn(er, reference.gamma(), ar,
+                                       candidate.gamma(), budget, f32_domain);
       for (const QuantityCmp& q : cmp) report.histogram.add(q.ulp);
       if (any_fail(cmp)) {
-        detect_turn = t;
+        reference.restore(ref_cp);
+        candidate.restore(cand_cp);
+        scan(ck_turn);
+        CITL_CHECK_MSG(report.first_divergent_turn >= 0,
+                       "oracle: window-end divergence vanished in the scan");
         break;
       }
-      ref_cp = reference->snapshot();
-      cand_cp = candidate->snapshot();
+      ref_cp = reference.snapshot();
+      cand_cp = candidate.snapshot();
       ck_turn = t + 1;
-    }
-
-    if (detect_turn >= 0) {
-      // Binary search over (ck_turn .. detect_turn] for the first failing
-      // turn. Each probe rolls both fidelities back to the clean checkpoint
-      // and replays up to the probe turn — bit-exact thanks to the
-      // state+pipe-reg checkpoint image.
-      std::int64_t lo = ck_turn, hi = detect_turn;
-      while (lo < hi) {
-        const std::int64_t mid = lo + (hi - lo) / 2;
-        reference->restore(ref_cp);
-        candidate->restore(cand_cp);
-        hil::TurnRecord er{}, ar{};
-        for (std::int64_t u = ck_turn; u <= mid; ++u) {
-          er = reference->step();
-          ar = candidate->step();
-        }
-        const TurnCmp cmp = compare_turn(er, reference->gamma(), ar,
-                                         candidate->gamma(), budget,
-                                         f32_domain);
-        if (any_fail(cmp)) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
-      }
-      report.bisected_turn = lo;
-
-      // Confirmation scan: the reported first_divergent_turn comes from a
-      // linear sweep, so a non-monotone divergence (pass-fail-pass inside
-      // the window) cannot fool the bisection into a wrong answer.
-      reference->restore(ref_cp);
-      candidate->restore(cand_cp);
-      report.trace.clear();
-      for (std::int64_t u = ck_turn; u < oracle_config.turns; ++u) {
-        const hil::TurnRecord er = reference->step();
-        const hil::TurnRecord ar = candidate->step();
-        const TurnCmp cmp = compare_turn(er, reference->gamma(), ar,
-                                         candidate->gamma(), budget,
-                                         f32_domain);
-        if (report.first_divergent_turn < 0) {
-          report.histogram.add(cmp[0].ulp);
-          report.histogram.add(cmp[1].ulp);
-          report.histogram.add(cmp[2].ulp);
-          report.histogram.add(cmp[3].ulp);
-          report.trace.push_back(make_row(u, cmp));
-          if (report.trace.size() >
-              static_cast<std::size_t>(kTraceBefore + 1)) {
-            report.trace.erase(report.trace.begin());
-          }
-          if (any_fail(cmp)) {
-            report.first_divergent_turn = u;
-            detect_cmp = cmp;
-          }
-        } else {
-          report.trace.push_back(make_row(u, cmp));
-          if (u - report.first_divergent_turn >= kTraceAfter) break;
-        }
-      }
-      CITL_CHECK_MSG(report.first_divergent_turn >= 0,
-                     "oracle: window-end divergence vanished in the scan");
     }
   }
 
+  report.turns_run = reference.turn();
   report.diverged = report.first_divergent_turn >= 0;
   report.max_ulp_err = ulp_to_double(report.histogram.max_ulp);
 

@@ -1,13 +1,15 @@
-// Cross-fidelity differential oracle with automatic divergence bisection.
+// Cross-fidelity differential oracle with automatic divergence search.
 //
 // Runs one turn-loop scenario through a *pair* of fidelities (the kernel
 // source evaluated in binary64, serial CGRA machine in f32/f64, lane 0 of a
 // batched machine) in lockstep and compares the per-turn observables — gamma_r,
 // dgamma, dt and the measured bunch phase — under per-quantity ULP/absolute
 // tolerance budgets (tolerance.hpp). On the first out-of-budget turn it
-//   1. bisects the first divergent turn with checkpoint/rollback probes
-//      (hil::TurnLoop::checkpoint(), which carries the model lane's states
-//      AND pipeline registers, so a restored loop replays bit-exactly),
+//   1. finds the first divergent turn with one turn-by-turn scan: from turn
+//      0 when every turn is compared, else from the last clean checkpoint
+//      before the failing window end (hil::TurnLoop::checkpoint(), which
+//      carries the model lane's states AND pipeline registers, so a
+//      restored loop replays bit-exactly),
 //   2. shrinks the scenario — truncate turns, drop fault-plan entries, drop
 //      the jump programme, open the control loop, zero the noise — keeping
 //      each simplification only if the divergence survives,
@@ -35,7 +37,6 @@ namespace citl::oracle {
 
 /// The four observables compared each turn, in fixed order.
 inline constexpr std::size_t kQuantityCount = 4;
-[[nodiscard]] const char* quantity_name(std::size_t q) noexcept;
 
 struct OracleConfig {
   Fidelity reference = Fidelity::kHostF64;
@@ -43,9 +44,10 @@ struct OracleConfig {
   /// Unset: ToleranceBudget::for_pair(reference, candidate).
   std::optional<ToleranceBudget> budget;
   std::int64_t turns = 2000;
-  /// Checkpoint + compare every `stride` turns, bisect on failure. Forced
-  /// to 1 (compare every turn, no rollback) when the scenario carries
-  /// faults or a supervisor — their state is outside the checkpoint image.
+  /// Checkpoint + compare every `stride` turns; a failing window end rolls
+  /// back to the last clean checkpoint and scans from there. Forced to 1
+  /// (compare every turn, no rollback) when the scenario carries faults or
+  /// a supervisor — their state is outside the checkpoint image.
   std::int64_t checkpoint_stride = 64;
   /// Lane count of a batched fidelity; sibling lanes run the identical
   /// scenario and lane 0 is compared.
@@ -79,12 +81,11 @@ struct TraceRow {
 
 struct OracleReport {
   bool diverged = false;
-  /// First turn whose observables left the budget (exact: confirmed by a
-  /// turn-by-turn scan from the last clean checkpoint); -1 = agreement.
+  /// First turn whose observables left the budget (exact: found by a
+  /// turn-by-turn scan); -1 = agreement.
   std::int64_t first_divergent_turn = -1;
-  /// The bisection probes' answer — equals first_divergent_turn whenever
-  /// divergence is monotone (always observed; the scan is the guard).
-  std::int64_t bisected_turn = -1;
+  /// Turns the fidelities stand at when the run ends: `turns`, or the
+  /// divergent turn + 1 + the trace rows recorded past it.
   std::int64_t turns_run = 0;
   /// Max ULP distance observed across all compared turns/quantities,
   /// saturated into a double (exact up to 2^53).
