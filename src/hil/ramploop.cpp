@@ -132,12 +132,4 @@ RampRecord RampLoop::step() {
   return r;
 }
 
-void RampLoop::run(std::int64_t turns,
-                   const std::function<void(const RampRecord&)>& cb) {
-  for (std::int64_t i = 0; i < turns; ++i) {
-    const RampRecord r = step();
-    if (cb) cb(r);
-  }
-}
-
 }  // namespace citl::hil

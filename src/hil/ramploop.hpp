@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cgra/batch.hpp"
@@ -56,9 +55,6 @@ class RampLoop {
   /// programme demands more synchronous voltage than the amplitude provides
   /// (ramp too fast — the real machine would lose the beam).
   RampRecord step();
-
-  void run(std::int64_t turns,
-           const std::function<void(const RampRecord&)>& cb = {});
 
   /// Displaces bunch 0 (injection error emulation).
   void displace(double dgamma, double dt_s);

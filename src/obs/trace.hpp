@@ -59,10 +59,6 @@ class Tracer {
             .count());
   }
 
-  /// Emits a completed span [ts_ns, ts_ns + dur_ns) on the calling thread's
-  /// track. No-ops when disabled.
-  void complete(std::string_view name, std::uint64_t ts_ns,
-                std::uint64_t dur_ns);
   /// Emits an instant marker on the calling thread's track.
   void instant(std::string_view name);
   /// Emits a counter sample; Perfetto renders these as a value-over-time

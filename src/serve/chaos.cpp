@@ -106,10 +106,6 @@ ChaosProxy::ChaosProxy(ChaosConfig config)
 
 ChaosProxy::~ChaosProxy() { stop(); }
 
-bool ChaosProxy::running() const noexcept {
-  return impl_->running.load(std::memory_order_acquire);
-}
-
 std::uint16_t ChaosProxy::port() const noexcept { return impl_->port; }
 
 ChaosStats ChaosProxy::stats() const {

@@ -69,7 +69,6 @@ class ChaosProxy {
   /// Severs every relayed connection and joins all pump threads. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept;
   /// Bound listener port (after start with listen_port 0); 0 when stopped.
   [[nodiscard]] std::uint16_t port() const noexcept;
 

@@ -16,20 +16,6 @@
 
 namespace citl::serve {
 
-const char* journal_record_type_name(JournalRecordType type) noexcept {
-  switch (type) {
-    case JournalRecordType::kConfig: return "config";
-    case JournalRecordType::kSetParam: return "set_param";
-    case JournalRecordType::kSetState: return "set_state";
-    case JournalRecordType::kEnableControl: return "enable_control";
-    case JournalRecordType::kStep: return "step";
-    case JournalRecordType::kSnapshot: return "snapshot";
-    case JournalRecordType::kRestore: return "restore";
-    case JournalRecordType::kCheckpoint: return "checkpoint";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Fixed bytes per record around the payload: u32 len + u8 type + u64 seq
@@ -343,8 +329,10 @@ void JournalWriter::discard() {
 // --- scanner --------------------------------------------------------------
 
 JournalScan scan_journal(const std::string& path) {
-  // Read the whole file: journals are bounded by checkpoint compaction and a
-  // session's own request history, and scanning runs once per recovery.
+  // Read the whole file; scanning runs once per recovery. Journals are not
+  // bounded: a compaction image is appended, never replaces the log, so the
+  // file (and this read and chain check) grows with every step even though
+  // replay starts at the last image.
   std::vector<std::uint8_t> bytes;
   {
     const int fd = ::open(path.c_str(), O_RDONLY);

@@ -98,9 +98,6 @@ enum class JournalRecordType : std::uint8_t {
   kCheckpoint = 8,
 };
 
-[[nodiscard]] const char* journal_record_type_name(
-    JournalRecordType type) noexcept;
-
 /// One decoded record of the valid prefix.
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kConfig;

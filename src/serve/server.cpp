@@ -210,10 +210,6 @@ SessionServer::SessionServer(ServerConfig config)
 
 SessionServer::~SessionServer() { stop(); }
 
-bool SessionServer::running() const noexcept {
-  return impl_->running.load(std::memory_order_acquire);
-}
-
 std::uint16_t SessionServer::port() const noexcept { return impl_->port; }
 
 SessionRuntime& SessionServer::runtime() noexcept { return impl_->runtime; }

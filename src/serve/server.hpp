@@ -76,7 +76,6 @@ class SessionServer {
   /// Drains workers, closes every connection, joins the loop. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept;
   /// Bound port (useful after start with port 0); 0 when not running.
   [[nodiscard]] std::uint16_t port() const noexcept;
 

@@ -180,8 +180,6 @@ std::optional<Frame> FrameParser::next() {
 
 void WireWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
-void WireWriter::u16(std::uint16_t v) { append_le(*this, v); }
-
 void WireWriter::u32(std::uint32_t v) { append_le(*this, v); }
 
 void WireWriter::u64(std::uint64_t v) { append_le(*this, v); }
@@ -213,8 +211,6 @@ const std::uint8_t* WireReader::raw(std::size_t n) {
 }
 
 std::uint8_t WireReader::u8() { return *raw(1); }
-
-std::uint16_t WireReader::u16() { return get_le<std::uint16_t>(raw(2)); }
 
 std::uint32_t WireReader::u32() { return get_le<std::uint32_t>(raw(4)); }
 

@@ -112,7 +112,6 @@ class FrameParser {
 class WireWriter {
  public:
   void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   /// Raw binary64 bit pattern — the bit-transparent double encoding.
@@ -162,7 +161,6 @@ class WireReader {
       : WireReader(payload.data(), payload.size()) {}
 
   [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();

@@ -22,18 +22,9 @@ Dds::Dds(ClockDomain clock, double frequency_hz, double amplitude_v,
     lut_[i] = std::sin(kTwoPi * static_cast<double>(i) /
                        static_cast<double>(n));
   }
-  retune();
-}
-
-void Dds::retune() noexcept {
   const double full = std::ldexp(1.0, kAccBits);  // 2^48
   tuning_word_ = static_cast<std::uint64_t>(
       frequency_hz_ / clock_.frequency_hz() * full + 0.5);
-}
-
-void Dds::set_frequency(double frequency_hz) noexcept {
-  frequency_hz_ = frequency_hz;
-  retune();
 }
 
 void Dds::set_phase_offset(double rad) noexcept {
@@ -68,12 +59,6 @@ double Dds::tick() noexcept {
   const double out = current();
   accumulator_ += tuning_word_;
   return out;
-}
-
-double Dds::phase_rad() const noexcept {
-  const std::uint64_t masked =
-      (accumulator_ + offset_word_) & ((std::uint64_t{1} << kAccBits) - 1);
-  return kTwoPi * static_cast<double>(masked) / std::ldexp(1.0, kAccBits);
 }
 
 }  // namespace citl::sig

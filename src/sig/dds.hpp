@@ -28,9 +28,6 @@ class Dds {
   /// Output without advancing (the value the DAC currently drives).
   [[nodiscard]] double current() const noexcept;
 
-  /// Re-tunes the output frequency (takes effect next tick), phase-continuous
-  /// like the hardware.
-  void set_frequency(double frequency_hz) noexcept;
   void set_amplitude(double amplitude_v) noexcept { amplitude_v_ = amplitude_v; }
 
   /// Sets the static phase offset [rad] added to the accumulator output.
@@ -47,9 +44,6 @@ class Dds {
   [[nodiscard]] double frequency_hz() const noexcept { return frequency_hz_; }
   [[nodiscard]] double amplitude_v() const noexcept { return amplitude_v_; }
 
-  /// Instantaneous phase [rad) in [0, 2π), including the offset.
-  [[nodiscard]] double phase_rad() const noexcept;
-
  private:
   static constexpr unsigned kAccBits = 48;
 
@@ -63,7 +57,6 @@ class Dds {
   unsigned lut_bits_;
   std::vector<double> lut_;
 
-  void retune() noexcept;
   [[nodiscard]] double lookup(std::uint64_t acc) const noexcept;
 };
 

@@ -59,35 +59,6 @@ std::vector<double> design_lowpass(std::size_t taps, double cutoff_norm,
   return h;
 }
 
-std::vector<double> design_highpass(std::size_t taps, double cutoff_norm,
-                                    Window w) {
-  CITL_CHECK_MSG(taps % 2 == 1, "highpass needs an odd tap count");
-  auto h = design_lowpass(taps, cutoff_norm, w);
-  for (double& c : h) c = -c;
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
-std::vector<double> design_bandpass(std::size_t taps, double low_norm,
-                                    double high_norm, Window w) {
-  CITL_CHECK_MSG(low_norm < high_norm, "bandpass edges out of order");
-  auto lo = sinc_kernel(taps, high_norm, w);
-  auto hi = sinc_kernel(taps, low_norm, w);
-  std::vector<double> h(taps);
-  for (std::size_t i = 0; i < taps; ++i) h[i] = lo[i] - hi[i];
-  // Normalise gain at the geometric band centre.
-  const double fc = 0.5 * (low_norm + high_norm);
-  const double g = magnitude_response(h, fc);
-  CITL_CHECK_MSG(g > 0.0, "degenerate bandpass");
-  for (double& c : h) c /= g;
-  return h;
-}
-
-std::vector<double> design_moving_average(std::size_t taps) {
-  CITL_CHECK(taps >= 1);
-  return std::vector<double>(taps, 1.0 / static_cast<double>(taps));
-}
-
 double magnitude_response(const std::vector<double>& taps, double f_norm) {
   double re = 0.0, im = 0.0;
   for (std::size_t i = 0; i < taps.size(); ++i) {

@@ -24,20 +24,6 @@ enum class Window { kRectangular, kHamming, kBlackman };
                                                  double cutoff_norm,
                                                  Window w = Window::kHamming);
 
-/// Windowed-sinc highpass via spectral inversion of the lowpass.
-[[nodiscard]] std::vector<double> design_highpass(std::size_t taps,
-                                                  double cutoff_norm,
-                                                  Window w = Window::kHamming);
-
-/// Bandpass centred between the two normalised edges, unity gain at centre.
-[[nodiscard]] std::vector<double> design_bandpass(std::size_t taps,
-                                                  double low_norm,
-                                                  double high_norm,
-                                                  Window w = Window::kHamming);
-
-/// Length-`taps` moving average (boxcar), unity DC gain.
-[[nodiscard]] std::vector<double> design_moving_average(std::size_t taps);
-
 /// Magnitude response |H(e^{j2πf})| of a tap set at normalised frequency f.
 [[nodiscard]] double magnitude_response(const std::vector<double>& taps,
                                         double f_norm);

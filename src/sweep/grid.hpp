@@ -1,11 +1,11 @@
 // Fluent builder for cartesian scenario grids.
 //
 // Sweeps explore a grid of operating points around the paper's experiment —
-// controller gains × jump amplitudes × harmonics × species. Hand-rolling the
-// nested loops (and keeping the generated names consistent) was repeated in
-// every example and test; the builder owns the cartesian product, the
-// name scheme ("jump8deg_gain5", extended with "_h4" / "_238U28+" when those
-// axes are swept) and the per-scenario plumbing, for either engine.
+// controller gains × jump amplitudes × harmonics × fault plans. Hand-rolling
+// the nested loops (and keeping the generated names consistent) was repeated
+// in every example and test; the builder owns the cartesian product, the
+// name scheme ("jump8deg_gain5", extended with "_h4" / "_<plan name>" when
+// those axes are swept) and the per-scenario plumbing, for either engine.
 //
 //   sweep::SweepConfig config;
 //   config.scenarios = sweep::ScenarioGridBuilder::sample_accurate(base)
@@ -16,7 +16,7 @@
 //
 // Axes left unset keep the base configuration's value and add nothing to
 // the scenario names. Scenario order is deterministic: jump amplitudes
-// outermost, then gains, harmonics, species, fault plans (innermost — a
+// outermost, then gains, harmonics, fault plans (innermost — a
 // fault campaign runs every plan against every operating point).
 #pragma once
 
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "phys/ion.hpp"
 #include "sweep/sweep.hpp"
 
 namespace citl::sweep {
@@ -47,8 +46,6 @@ class ScenarioGridBuilder {
   ScenarioGridBuilder& jump_timing(double interval_s, double start_s);
   /// Harmonic numbers to sweep (ring.harmonic).
   ScenarioGridBuilder& harmonics(std::vector<int> values);
-  /// Ion species to sweep (kernel.ion).
-  ScenarioGridBuilder& species(std::vector<phys::Ion> values);
   /// Fault campaigns to sweep: every scenario point is run once per plan
   /// (innermost axis; plan names suffix the scenario names). An entry with
   /// an empty plan is the healthy control arm.
@@ -62,13 +59,10 @@ class ScenarioGridBuilder {
   ScenarioGridBuilder& oracle(oracle::OracleSpec spec);
 
   ScenarioGridBuilder& duration_s(double seconds);
-  ScenarioGridBuilder& f_sync_nominal_hz(double hz);
   ScenarioGridBuilder& ensemble_reference(bool on);
   /// Prefix prepended to every generated scenario name.
   ScenarioGridBuilder& name_prefix(std::string prefix);
 
-  /// Number of scenarios build() will produce.
-  [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::vector<Scenario> build() const;
 
  private:
@@ -78,7 +72,6 @@ class ScenarioGridBuilder {
   std::vector<double> gains_;
   std::vector<double> jumps_deg_;
   std::vector<int> harmonics_;
-  std::vector<phys::Ion> species_;
   std::vector<fault::FaultPlan> fault_plans_;
   double jump_interval_s_ = 1.0;
   double jump_start_s_ = 1.0e-3;

@@ -147,9 +147,4 @@ std::size_t KernelCache::size() const {
   return entries_.size();
 }
 
-void KernelCache::clear() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
-}
-
 }  // namespace citl::sweep

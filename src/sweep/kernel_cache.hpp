@@ -65,10 +65,6 @@ class KernelCache {
   /// Distinct kernels currently cached.
   [[nodiscard]] std::size_t size() const;
 
-  /// Drops every cached kernel (kernels still referenced by machines stay
-  /// alive through their shared_ptr).
-  void clear();
-
  private:
   using Entry =
       std::shared_future<std::shared_ptr<const cgra::CompiledKernel>>;

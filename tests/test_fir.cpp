@@ -25,27 +25,6 @@ TEST(FirDesign, LowpassAttenuatesStopband) {
   EXPECT_LT(magnitude_response(h, 0.3), 0.02);
 }
 
-TEST(FirDesign, HighpassBlocksDcPassesHigh) {
-  const auto h = design_highpass(63, 0.1);
-  EXPECT_NEAR(magnitude_response(h, 0.0), 0.0, 1e-10);
-  EXPECT_GT(magnitude_response(h, 0.4), 0.95);
-}
-
-TEST(FirDesign, BandpassShape) {
-  const auto h = design_bandpass(101, 0.08, 0.16);
-  EXPECT_NEAR(magnitude_response(h, 0.12), 1.0, 0.02);
-  EXPECT_LT(magnitude_response(h, 0.0), 0.02);
-  EXPECT_LT(magnitude_response(h, 0.35), 0.02);
-}
-
-TEST(FirDesign, MovingAverageNulls) {
-  const auto h = design_moving_average(8);
-  EXPECT_NEAR(magnitude_response(h, 0.0), 1.0, 1e-12);
-  // Nulls at k/8.
-  EXPECT_NEAR(magnitude_response(h, 0.125), 0.0, 1e-10);
-  EXPECT_NEAR(magnitude_response(h, 0.25), 0.0, 1e-10);
-}
-
 TEST(FirDesign, WindowsTaperToEnds) {
   EXPECT_NEAR(window_value(Window::kHamming, 0, 21), 0.08, 1e-9);
   EXPECT_NEAR(window_value(Window::kHamming, 10, 21), 1.0, 1e-9);
@@ -70,8 +49,6 @@ TEST(FirDesign, LinearPhase) {
 TEST(FirDesign, RejectsInvalidSpecs) {
   EXPECT_THROW(design_lowpass(15, 0.0), std::logic_error);
   EXPECT_THROW(design_lowpass(15, 0.6), std::logic_error);
-  EXPECT_THROW(design_bandpass(15, 0.3, 0.1), std::logic_error);
-  EXPECT_THROW(design_highpass(16, 0.1), std::logic_error);  // even taps
 }
 
 TEST(FirFilterTest, ImpulseResponseIsTaps) {
@@ -113,7 +90,7 @@ TEST(FirFilterTest, SinusoidGainMatchesResponse) {
 }
 
 TEST(FirFilterTest, ResetClearsHistory) {
-  FirFilter f(design_moving_average(4));
+  FirFilter f({0.25, 0.25, 0.25, 0.25});  // 4-tap boxcar
   for (int i = 0; i < 10; ++i) f.process(5.0);
   f.reset();
   EXPECT_DOUBLE_EQ(f.process(0.0), 0.0);
