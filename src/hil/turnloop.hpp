@@ -145,7 +145,7 @@ class TurnLoop {
   /// Opens/closes the phase control loop at runtime.
   void enable_control(bool on) noexcept { control_on_ = on; }
 
-  // --- checkpoint / rollback (oracle divergence bisection) ----------------
+  // --- checkpoint / rollback (the oracle's strided divergence scan) -------
   /// Full image of the loop at a turn boundary: loop bookkeeping (time,
   /// turn counter, control/controller/decimator/noise state, deadline
   /// accounting) plus the model lane's loop-carried states AND pipeline

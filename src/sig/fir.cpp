@@ -24,10 +24,8 @@ double window_value(Window w, std::size_t i, std::size_t n) {
   return 1.0;
 }
 
-namespace {
-
-std::vector<double> sinc_kernel(std::size_t taps, double cutoff_norm,
-                                Window w) {
+std::vector<double> design_lowpass(std::size_t taps, double cutoff_norm,
+                                   Window w) {
   CITL_CHECK_MSG(taps >= 1, "filter needs at least one tap");
   CITL_CHECK_MSG(cutoff_norm > 0.0 && cutoff_norm < 0.5,
                  "cutoff must be in (0, 0.5) of the sample rate");
@@ -40,22 +38,11 @@ std::vector<double> sinc_kernel(std::size_t taps, double cutoff_norm,
                          : std::sin(kTwoPi * cutoff_norm * x) / (kPi * x);
     h[i] = s * window_value(w, i, taps);
   }
-  return h;
-}
-
-void normalise_dc(std::vector<double>& h) {
+  // Unity DC gain.
   double sum = 0.0;
   for (double c : h) sum += c;
   CITL_CHECK_MSG(sum != 0.0, "degenerate filter: zero DC gain");
   for (double& c : h) c /= sum;
-}
-
-}  // namespace
-
-std::vector<double> design_lowpass(std::size_t taps, double cutoff_norm,
-                                   Window w) {
-  auto h = sinc_kernel(taps, cutoff_norm, w);
-  normalise_dc(h);
   return h;
 }
 

@@ -4,7 +4,7 @@
 // the disk cache's cold, warm (in-process and from a second process) and
 // corrupt-artifact paths, its content-hash key and the exact memo key, the
 // no-compiler and failed-compile fallbacks, config threading over the wire,
-// the differential oracle bisecting over natively compiled engines, a
+// the differential oracle's strided scan over natively compiled engines, a
 // batched framework sweep loading one native kernel, and native sweeps whose
 // lanes end apart or together. Every lane
 // is held to the one-lane cycle-accurate walk (values and states) and the

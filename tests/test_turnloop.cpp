@@ -206,7 +206,7 @@ TEST(TurnLoop, DisplacementOscillatesWithoutStimulus) {
 }
 
 TEST(TurnLoop, CheckpointRestoreReplaysBitExactly) {
-  // The oracle's bisection rolls a loop back mid-run and replays; the
+  // The oracle's strided scan rolls a loop back mid-run and replays; the
   // replayed records must be bit-identical to the originals (pipelined
   // kernel: the checkpoint must carry the pipeline registers too, not just
   // the loop-carried states).
