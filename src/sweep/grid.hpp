@@ -3,7 +3,7 @@
 // Sweeps explore a grid of operating points around the paper's experiment —
 // controller gains × jump amplitudes × harmonics × fault plans. Hand-rolling
 // the nested loops (and keeping the generated names consistent) was repeated
-// in every example and test; the builder owns the cartesian product, the
+// in every example and test; this class owns the cartesian product, the
 // name scheme ("jump8deg_gain5", extended with "_h4" / "_<plan name>" when
 // those axes are swept) and the per-scenario plumbing, for either engine.
 //
